@@ -5,6 +5,8 @@ total variants; constructs an explicit very-cost-effective bipartition for
 each supported modulus shape; and verifies or refutes very-cost-effectiveness
 with a checker, an exhaustive search oracle, and obstruction certificates.
 """
+from types import ModuleType as _ModuleType
+
 from .constructions import (
     Certificate,
     ConstructionId,
@@ -85,68 +87,6 @@ from .vce import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bipartition",
-    "Certificate",
-    "ConstructionError",
-    "ConstructionId",
-    "DEFAULT_VERTEX_CAP",
-    "DomainError",
-    "EdgePair",
-    "ExhaustedSearch",
-    "Exists",
-    "Factorization",
-    "FormatError",
-    "GraphFamily",
-    "IsolatedVertex",
-    "LabeledGraph",
-    "ModulusShape",
-    "NotVce",
-    "PartitionError",
-    "PartitionVerdict",
-    "Residue",
-    "SearchOutcome",
-    "SearchStatus",
-    "ShapeError",
-    "ShapeKind",
-    "TotalEdge",
-    "TotalOriginal",
-    "VceReport",
-    "Verdict",
-    "VertexLabel",
-    "VertexTally",
-    "ZnvceError",
-    "brute_force",
-    "build_family",
-    "check_bipartition",
-    "classify",
-    "dispatch",
-    "factorize",
-    "gamma",
-    "graph_from_json",
-    "graph_to_dot",
-    "graph_to_json",
-    "is_prime",
-    "is_vce",
-    "isolated_obstruction",
-    "isolated_vertices",
-    "line_graph",
-    "local_search",
-    "nilpotents",
-    "nilradical_graph",
-    "non_nilradical_graph",
-    "parse_label",
-    "partition_from_json",
-    "partition_to_json",
-    "render_label",
-    "tally",
-    "total_graph",
-    "vce_line_pq",
-    "vce_nilradical",
-    "vce_omega_squarefree",
-    "vce_p2q",
-    "vce_p2q2",
-    "vce_squarefree",
-    "vce_total_pq",
-    "zero_divisors",
-]
+# every public name imported above: the import list is the one place to add one
+__all__ = sorted(name for name, obj in globals().items()
+                 if not name.startswith("_") and not isinstance(obj, _ModuleType))

@@ -59,6 +59,33 @@ def ref_has_vce(adj: np.ndarray) -> bool:
     return False
 
 
+def ref_first_vce(adj: np.ndarray, pin_first: bool) -> tuple[int | None, int]:
+    """First very-cost-effective mask in binary-counting order, and how many
+    masks were examined up to it (all of them when there is none).
+
+    Bit i of a mask puts vertex i on side B, or vertex i + 1 when pin_first
+    keeps vertex 0 on side R. Masks run from 1; without pin_first the all-B
+    mask is left out.
+    """
+    nv = adj.shape[0]
+    free = nv - 1 if pin_first else nv
+    last = 2**free - 1 if pin_first else 2**free - 2
+    examined = 0
+    for mask in range(1, last + 1):
+        examined += 1
+        side = [False] * (nv - free) + [bool((mask >> i) & 1) for i in range(free)]
+        good = True
+        for v in range(nv):
+            same = sum(1 for u in range(nv) if adj[v][u] and side[u] == side[v])
+            other = sum(1 for u in range(nv) if adj[v][u] and side[u] != side[v])
+            if not same < other:
+                good = False
+                break
+        if good:
+            return mask, examined
+    return None, examined
+
+
 def random_graph(nv: int, seed: int, p: float = 0.4) -> LabeledGraph:
     rng = np.random.default_rng(seed)
     adj = rng.random((nv, nv)) < p

@@ -261,3 +261,11 @@ class TestMain:
         assert main(["construct", "100", "--cap", "10"]) == 2
         assert main(["search", "--n", "100", "--cap", "10"]) == 2
         capsys.readouterr()
+
+    def test_cap_beyond_mask_width_errors(self, capsys):
+        # total-of-gamma(36) has 69 vertices, no isolated vertex and no construction
+        for argv in (["search", "--n", "36", "--family", "total-of-gamma", "--cap", "100"],
+                     ["construct", "36", "--family", "total-of-gamma", "--cap", "100"]):
+            assert main(argv) == 2
+            out = capsys.readouterr().out
+            assert out.startswith("error:") and "exceeds the limit of 62" in out

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_graph, random_graph, ref_has_vce, side_residues
+from helpers import complete_graph, random_graph, ref_first_vce, ref_has_vce, side_residues
 from znvce import (
     DomainError,
     SearchStatus,
@@ -107,6 +107,36 @@ class TestBruteForce:
         out = brute_force(complete_graph(6))
         assert out.elapsed >= 0.0
 
+    def test_more_than_62_free_vertices_is_a_domain_error(self):
+        g = random_graph(70, seed=0)
+        assert isolated_obstruction(g) is None
+        with pytest.raises(DomainError, match="exceeds the limit of 62"):
+            brute_force(g, vertex_cap=100)
+        with pytest.raises(DomainError):
+            brute_force(random_graph(63, seed=0), vertex_cap=100, symmetry_reduction=False)
+        # the cap is checked first: a graph over it is Inconclusive, not an error
+        assert brute_force(g, vertex_cap=69).status is SearchStatus.INCONCLUSIVE
+
+
+class TestBlockBoundaries:
+    """Outcomes pinned across the low table (4096 masks) and many high blocks."""
+
+    def test_gamma_63_hit_past_the_first_block(self):
+        out = brute_force(gamma(63))
+        assert out.status is SearchStatus.FOUND
+        assert out.partitions_examined == 2_310_852
+        assert out.partition.b_ids.tolist() == [3, 7, 8, 10, 15, 17, 18, 22]
+
+    def test_gamma_40(self):
+        out = brute_force(gamma(40))
+        assert out.status is SearchStatus.FOUND
+        assert out.partitions_examined == 599_186
+
+    def test_total_graph_of_gamma_18_exhausts(self):
+        out = brute_force(total_graph(gamma(18)))
+        assert out.status is SearchStatus.NONE_EXISTS
+        assert out.partitions_examined == 8_388_607
+
 
 @given(st.integers(2, 10), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
@@ -119,6 +149,21 @@ def test_brute_force_matches_reference_enumeration(nv, seed):
         assert is_vce(g, out.partition)
     unred = brute_force(g, symmetry_reduction=False, isolated_shortcut=False)
     assert unred.status is out.status
+
+
+@given(st.integers(2, 12), st.integers(0, 10_000), st.sampled_from([0.25, 0.4, 0.6]),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_brute_force_matches_reference_order(nv, seed, p, pin_first):
+    g = random_graph(nv, seed=seed, p=p)
+    out = brute_force(g, symmetry_reduction=pin_first, isolated_shortcut=False)
+    mask, examined = ref_first_vce(g.adj, pin_first)
+    assert out.status is (SearchStatus.FOUND if mask is not None else SearchStatus.NONE_EXISTS)
+    assert out.partitions_examined == examined
+    if mask is not None:
+        first = 1 if pin_first else 0
+        b = [v for v in range(first, nv) if (mask >> (v - first)) & 1]
+        assert out.partition.b_ids.tolist() == b
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000))
