@@ -193,9 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", help="graph JSON path (alternative to --n)")
     s.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
     s.add_argument("--local", action="store_true", help="hill climbing instead of exhaustive")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--restarts", type=int, default=32)
-    s.add_argument("--steps", type=int, default=1024)
+    s.add_argument("--seed", type=int, default=0, help="seed of the --local starts (>= 0)")
+    s.add_argument("--restarts", type=int, default=32, help="--local random starts (>= 1)")
+    s.add_argument("--steps", type=int, default=1024, help="--local flips per start (>= 1)")
 
     v = sub.add_parser("survey", help="tabulate verdicts over a range of moduli")
     v.add_argument("n_min", type=int)

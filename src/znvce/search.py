@@ -148,39 +148,53 @@ def local_search(
 ) -> SearchOutcome:
     """Hill climbing from random balanced starts.
 
-    Each step flips the vertex with the worst inside-minus-outside margin
-    (ties to the smallest id), skipping flips that would empty a side. Never
-    claims NoneExists; deterministic for a fixed seed.
+    Each restart puts a random half of the vertices (one rng.permutation per
+    restart) on side B. Each step flips the vertex with the largest margin,
+    same-side minus other-side neighbours (ties to the smallest id), skipping
+    a vertex alone on its side; neighbour counts are updated by one adjacency
+    row per flip. A restart that would flip back the vertex it just flipped
+    stops, but partitions_examined still counts its whole step budget, as if
+    it had run every step. Never claims NoneExists; deterministic for a fixed
+    seed. A negative seed, or fewer than one restart or step, is a DomainError.
     """
     t0 = perf_counter()
     nv = g.n_vertices
     if nv < 2:
         raise DomainError("local_search needs at least two vertices")
+    if rng_seed < 0 or max_restarts < 1 or max_steps < 1:
+        raise DomainError("local_search needs rng_seed >= 0, max_restarts >= 1 and "
+                          f"max_steps >= 1; got {rng_seed}, {max_restarts}, {max_steps}")
     rng = np.random.default_rng(rng_seed)
-    adjf = g.adj.astype(np.float32)
+    a2 = np.multiply(g.adj, 2, dtype=np.int32)  # one int32 allocation
     deg = g.degrees()
     examined = 0
     for _ in range(max_restarts):
         in_b = np.zeros(nv, dtype=bool)
         in_b[rng.permutation(nv)[: nv // 2]] = True
         n_b = nv // 2
-        for _ in range(max_steps):
-            nb_b = (adjf @ in_b.astype(np.float32)).astype(np.int64)
-            inside = np.where(in_b, nb_b, deg - nb_b)
-            margin = 2 * inside - deg
+        # m = 2|N(v) & B| - deg(v); the margin of v is m on side B, -m on R
+        m = a2 @ in_b - deg
+        last = -1
+        for step in range(max_steps):
+            margin = np.where(in_b, m, -m)
             examined += 1
-            if (margin < 0).all():
+            v = int(margin.argmax())
+            if margin[v] < 0:
                 return SearchOutcome(SearchStatus.FOUND, Bipartition(in_b), examined,
                                      perf_counter() - t0)
-            flipped = False
-            for v in np.argsort(-margin, kind="stable"):
-                side_count = n_b if in_b[v] else nv - n_b
-                if side_count > 1:
-                    n_b += -1 if in_b[v] else 1
-                    in_b[v] = not in_b[v]
-                    flipped = True
+            if n_b == 1 or n_b == nv - 1:
+                if nv == 2:
                     break
-            if not flipped:
+                margin[in_b == (n_b == 1)] = -nv  # the lone vertex must stay
+                v = int(margin.argmax())
+            if v == last:
+                # the climb is deterministic, so from here it would alternate
+                # between this state and the one before until its steps ran out
+                examined += max_steps - step - 1
                 break
+            in_b[v] = not in_b[v]
+            n_b += 1 if in_b[v] else -1
+            m += a2[v] if in_b[v] else -a2[v]
+            last = v
     return SearchOutcome(SearchStatus.INCONCLUSIVE, None, examined, perf_counter() - t0,
                          reason="restart and step budget exhausted")

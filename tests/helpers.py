@@ -86,6 +86,45 @@ def ref_first_vce(adj: np.ndarray, pin_first: bool) -> tuple[int | None, int]:
     return None, examined
 
 
+def ref_local_search(adj: np.ndarray, max_restarts: int, max_steps: int,
+                     rng_seed: int) -> tuple[np.ndarray | None, int]:
+    """The hill climber as first written, for equivalence tests: side B as a
+    bool mask (None when the budget runs out) and the states examined.
+
+    Every step recounts each side densely, orders the vertices by descending
+    margin with a stable sort, and flips the first one whose side has more
+    than one vertex. Every restart runs until it finds a partition, has no
+    vertex to flip, or has used all its steps.
+    """
+    nv = adj.shape[0]
+    rng = np.random.default_rng(rng_seed)
+    adjf = adj.astype(np.float32)
+    deg = adj.sum(axis=1, dtype=np.int64)
+    examined = 0
+    for _ in range(max_restarts):
+        in_b = np.zeros(nv, dtype=bool)
+        in_b[rng.permutation(nv)[: nv // 2]] = True
+        n_b = nv // 2
+        for _ in range(max_steps):
+            nb_b = (adjf @ in_b.astype(np.float32)).astype(np.int64)
+            inside = np.where(in_b, nb_b, deg - nb_b)
+            margin = 2 * inside - deg
+            examined += 1
+            if (margin < 0).all():
+                return in_b, examined
+            flipped = False
+            for v in np.argsort(-margin, kind="stable"):
+                side_count = n_b if in_b[v] else nv - n_b
+                if side_count > 1:
+                    n_b += -1 if in_b[v] else 1
+                    in_b[v] = not in_b[v]
+                    flipped = True
+                    break
+            if not flipped:
+                break
+    return None, examined
+
+
 def random_graph(nv: int, seed: int, p: float = 0.4) -> LabeledGraph:
     rng = np.random.default_rng(seed)
     adj = rng.random((nv, nv)) < p

@@ -269,3 +269,10 @@ class TestMain:
             assert main(argv) == 2
             out = capsys.readouterr().out
             assert out.startswith("error:") and "exceeds the limit of 62" in out
+
+    def test_local_bad_seed_errors_without_traceback(self, capsys):
+        for flags in (["--seed", "-1"], ["--restarts", "0"], ["--steps", "0"],
+                      ["--restarts", "-1"], ["--steps", "-4"]):
+            assert main(["search", "--n", "30", "--local", *flags]) == 2
+            out = capsys.readouterr().out
+            assert out.startswith("error:") and "local_search needs" in out

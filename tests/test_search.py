@@ -3,11 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_graph, random_graph, ref_first_vce, ref_has_vce, side_residues
+from helpers import (
+    complete_graph,
+    random_graph,
+    ref_first_vce,
+    ref_has_vce,
+    ref_local_search,
+    side_residues,
+)
 from znvce import (
     DomainError,
+    GraphFamily,
+    LabeledGraph,
+    Residue,
     SearchStatus,
     brute_force,
+    build_family,
     gamma,
     is_vce,
     isolated_obstruction,
@@ -217,3 +228,70 @@ class TestLocalSearch:
         out = local_search(g, rng_seed=1)
         assert out.status is SearchStatus.FOUND
         assert is_vce(g, out.partition)
+
+    def test_rejects_bad_budgets_and_seeds(self):
+        g = gamma(15)
+        for kwargs in ({"rng_seed": -1}, {"max_restarts": 0}, {"max_steps": 0},
+                       {"max_restarts": -2}, {"max_steps": -5}):
+            with pytest.raises(DomainError):
+                local_search(g, **kwargs)
+
+
+class TestLocalSearchPins:
+    """Outcomes with the default budget and seed, as first released."""
+
+    def test_gamma_100(self):
+        out = local_search(build_family(100, GraphFamily.GAMMA))
+        assert out.status is SearchStatus.FOUND
+        assert out.partitions_examined == 5155
+        assert out.partition.b_ids.tolist() == [11, 14, 23, 29, 35, 44, 47]
+
+    def test_total_of_gamma_81(self):
+        out = local_search(build_family(81, GraphFamily.TOTAL_OF_GAMMA))
+        assert out.status is SearchStatus.FOUND
+        assert out.partitions_examined == 7189
+        assert out.partition.b_ids.tolist() == [
+            0, 1, 2, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15, 16, 18, 19, 21, 22, 23, 24,
+            25, 27, 29, 31, 32, 34, 38, 39, 44, 45, 46, 47, 49, 51, 53, 56, 57, 59, 62,
+            63, 66, 67, 69, 72, 73, 74, 76, 77, 81, 82, 85, 86]
+
+    def test_nilradical_64_uses_the_whole_budget(self):
+        out = local_search(build_family(64, GraphFamily.NILRADICAL))
+        assert out.status is SearchStatus.INCONCLUSIVE
+        assert out.partitions_examined == 32 * 1024
+        assert out.partition is None
+        assert out.reason == "restart and step budget exhausted"
+
+
+def _assert_matches_reference(g, restarts, steps, seed):
+    out = local_search(g, max_restarts=restarts, max_steps=steps, rng_seed=seed)
+    in_b, examined = ref_local_search(g.adj, restarts, steps, seed)
+    assert out.partitions_examined == examined
+    if in_b is None:
+        assert out.status is SearchStatus.INCONCLUSIVE and out.partition is None
+        assert out.reason == "restart and step budget exhausted"
+    else:
+        assert out.status is SearchStatus.FOUND and out.reason == ""
+        assert out.partition.b_ids.tolist() == np.flatnonzero(in_b).tolist()
+
+
+@given(st.integers(2, 40), st.integers(0, 10_000),
+       st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.85, 1.0]),
+       st.integers(1, 5), st.integers(1, 70), st.integers(0, 20))
+@settings(max_examples=150, deadline=None)
+def test_local_search_matches_reference_climber(nv, graph_seed, p, restarts, steps, seed):
+    g = complete_graph(nv) if p == 1.0 else random_graph(nv, seed=graph_seed, p=p)
+    _assert_matches_reference(g, restarts, steps, seed)
+
+
+@pytest.mark.parametrize("nv", [2, 3])
+def test_local_search_matches_reference_with_a_lone_vertex(nv):
+    # a balanced start on 2 or 3 vertices leaves one vertex alone on a side
+    pairs = [(u, v) for u in range(nv) for v in range(u + 1, nv)]
+    for edges in range(1 << len(pairs)):
+        adj = np.zeros((nv, nv), dtype=bool)
+        for i, (u, v) in enumerate(pairs):
+            adj[u, v] = adj[v, u] = bool((edges >> i) & 1)
+        g = LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
+        for seed in range(6):
+            _assert_matches_reference(g, 3, 9, seed)
