@@ -139,7 +139,7 @@ def _survey_row(n: int, family: GraphFamily, cap: int) -> SurveyRow:
     g = build_family(n, family)
     if g.n_vertices == 0:
         return SurveyRow(n, family.value, shape, 0, "Empty-graph", "")
-    cert = dispatch(n, family, vertex_cap=cap)
+    cert = dispatch(n, family, vertex_cap=cap, graph=g)
     if cert is None:
         return SurveyRow(n, family.value, shape, g.n_vertices, "Unknown", "")
     if isinstance(cert, Exists):
@@ -230,7 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_path = getattr(args, "out", None)
-    if out_path:
+    if text.startswith("error:"):
+        sys.stderr.write(text)
+    elif out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
     else:

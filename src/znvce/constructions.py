@@ -1,8 +1,10 @@
 """Explicit very-cost-effective bipartitions, one per modulus shape, plus a
 dispatcher that picks the applicable construction (or falls back to search).
 
-Every builder verifies its own output through the checker before returning;
-a verification failure is a ConstructionError, never a silently wrong result.
+Every partition is verified through the checker exactly once before it
+leaves the module: by the public `vce_*` builder that returns it, or by the
+`Exists` certificate that `dispatch` wraps it in. A verification failure is a
+ConstructionError, never a silently wrong result.
 """
 from __future__ import annotations
 
@@ -95,8 +97,8 @@ class NotVce:
 Certificate = Union[Exists, NotVce]
 
 
-def _verified(g: LabeledGraph, in_b: np.ndarray) -> Bipartition:
-    part = Bipartition(in_b)
+def _verified(g: LabeledGraph, split: Callable[..., Bipartition], *args) -> Bipartition:
+    part = split(g, *args)
     if not is_vce(g, part):
         raise ConstructionError("constructed partition failed the checker")
     return part
@@ -112,13 +114,13 @@ def _squarefree_split(g: LabeledGraph) -> Bipartition:
     # often enough to tip any tally
     f = factorize(g.modulus)
     pm = f.primes[-1]
-    return _verified(g, _residues(g) % pm != 0)
+    return Bipartition(_residues(g) % pm != 0)
 
 
 def _p2q_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
     ks = _residues(g)
     # R = multiples of q; B = multiples of p not q; together all zero divisors
-    return _verified(g, ks % q != 0)
+    return Bipartition(ks % q != 0)
 
 
 def _p2q2_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
@@ -133,7 +135,7 @@ def _p2q2_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
     # sizes matter; take the smallest (q(p-2)+1)/2 of them for R
     r3 = np.flatnonzero(pure)[: (q * (p - 2) + 1) // 2]
     in_r[r3] = True
-    return _verified(g, ~in_r)
+    return Bipartition(~in_r)
 
 
 def _line_side_in_r(a: int, b: int, p: int, q: int) -> bool:
@@ -150,17 +152,17 @@ def _line_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
         return _balanced_split(g)
     in_r = np.fromiter(
         (_line_side_in_r(lab.a, lab.b, p, q) for lab in g.labels), bool, g.n_vertices)
-    return _verified(g, ~in_r)
+    return Bipartition(~in_r)
 
 
 def _balanced_split(g: LabeledGraph) -> Bipartition:
     nv = g.n_vertices
-    return _verified(g, np.arange(nv) >= nv // 2)
+    return Bipartition(np.arange(nv) >= nv // 2)
 
 
 def _p3_split(g: LabeledGraph, p: int) -> Bipartition:
     # B = multiples of p^2 (p-1 of them), R = the rest (p(p-1) of them)
-    return _verified(g, _residues(g) % (p * p) == 0)
+    return Bipartition(_residues(g) % (p * p) == 0)
 
 
 def _total_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
@@ -170,7 +172,7 @@ def _total_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
             in_r[v] = lab.k % p == 0
         else:
             in_r[v] = _line_side_in_r(lab.a, lab.b, p, q)
-    return _verified(g, ~in_r)
+    return Bipartition(~in_r)
 
 
 def vce_squarefree(n: int) -> Bipartition:
@@ -178,7 +180,7 @@ def vce_squarefree(n: int) -> Bipartition:
     f = factorize(n)
     if not (f.is_squarefree and len(f.factors) >= 2):
         raise ShapeError(f"n = {n} is not squarefree with at least two prime factors")
-    return _squarefree_split(gamma(n))
+    return _verified(gamma(n), _squarefree_split)
 
 
 def vce_p2q(n: int) -> Bipartition:
@@ -186,7 +188,7 @@ def vce_p2q(n: int) -> Bipartition:
     shape = classify(factorize(n))
     if shape.kind is not ShapeKind.P_SQUARED_Q:
         raise ShapeError(f"n = {n} is not of the form p^2 q")
-    return _p2q_split(gamma(n), shape.p, shape.q)
+    return _verified(gamma(n), _p2q_split, shape.p, shape.q)
 
 
 def vce_p2q2(n: int) -> Bipartition:
@@ -196,7 +198,7 @@ def vce_p2q2(n: int) -> Bipartition:
         raise ShapeError(f"n = {n} is not of the form p^2 q^2")
     if shape.p == 2:
         raise ShapeError("p = 2 is not covered; both primes must be odd")
-    return _p2q2_split(gamma(n), shape.p, shape.q)
+    return _verified(gamma(n), _p2q2_split, shape.p, shape.q)
 
 
 def _require_prime_pair(p: int, q: int) -> None:
@@ -210,7 +212,7 @@ def vce_line_pq(p: int, q: int) -> Bipartition:
     """Half-split of the line graph of the complete bipartite zero-divisor
     graph of pq; for p = 2 a balanced split of the complete line graph."""
     _require_prime_pair(p, q)
-    return _line_split(line_graph(gamma(p * q)), p, q)
+    return _verified(line_graph(gamma(p * q)), _line_split, p, q)
 
 
 def vce_nilradical(n: int) -> Bipartition:
@@ -220,19 +222,19 @@ def vce_nilradical(n: int) -> Bipartition:
     if shape.kind is ShapeKind.P_SQUARED:
         if shape.p == 2:
             raise ShapeError("the nilpotent graph of 4 is a single vertex; no bipartition")
-        return _balanced_split(g)
+        return _verified(g, _balanced_split)
     if shape.kind is ShapeKind.P_SQUARED_Q_SQUARED:
         if shape.p == 2:
             raise ShapeError(
                 "p = 2 gives the complete graph on 2q - 1 vertices, odd order, "
                 "which has no very-cost-effective split (n = 36 checked exhaustively)")
-        return _balanced_split(g)
+        return _verified(g, _balanced_split)
     if shape.kind is ShapeKind.P_CUBED:
-        return _p3_split(g, shape.p)
+        return _verified(g, _p3_split, shape.p)
     if shape.kind is ShapeKind.P_SQUARED_Q:
         if shape.p == 2:
             raise ShapeError("the squared prime must be odd; 4q leaves a single vertex")
-        return _balanced_split(g)
+        return _verified(g, _balanced_split)
     raise ShapeError(f"no nilpotent-graph construction applies to n = {n}")
 
 
@@ -242,7 +244,7 @@ def vce_omega_squarefree(n: int) -> Bipartition:
     f = factorize(n)
     if not (f.is_squarefree and len(f.factors) >= 2):
         raise ShapeError(f"n = {n} is not squarefree with at least two prime factors")
-    return _squarefree_split(non_nilradical_graph(n))
+    return _verified(non_nilradical_graph(n), _squarefree_split)
 
 
 def vce_total_pq(p: int, q: int) -> Bipartition:
@@ -251,7 +253,7 @@ def vce_total_pq(p: int, q: int) -> Bipartition:
     _require_prime_pair(p, q)
     if p == 2:
         raise ShapeError("p = 2 total graphs are never very cost effective; no construction")
-    return _total_split(total_graph(gamma(p * q)), p, q)
+    return _verified(total_graph(gamma(p * q)), _total_split, p, q)
 
 
 _Route = tuple[Callable[[LabeledGraph, ModulusShape], Bipartition], ConstructionId]
@@ -290,12 +292,16 @@ def _route(shape: ModulusShape, family: GraphFamily) -> _Route | None:
     return None
 
 
-def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Certificate | None:
+def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, *,
+             graph: LabeledGraph | None = None) -> Certificate | None:
     """Certificate for (n, family): a construction when one applies, otherwise
     the isolated-vertex obstruction or exhaustive search. None means the shape
-    is unhandled and the graph is too large to settle exhaustively."""
+    is unhandled and the graph is too large to settle exhaustively.
+
+    `graph` is `build_family(n, family)` when the caller has built it already;
+    it is not rebuilt. A partition is still verified against it."""
     family = GraphFamily(family)
-    g = build_family(n, family)
+    g = build_family(n, family) if graph is None else graph
     if g.n_vertices == 0:
         raise DomainError(f"the {family.value} graph of {n} is empty; no bipartition possible")
     shape = classify(factorize(n))

@@ -56,6 +56,9 @@ class TotalEdge:
 
 VertexLabel = Union[Residue, EdgePair, TotalOriginal, TotalEdge]
 
+# side of the square blocks LabeledGraph compares for symmetry
+_SYMMETRY_TILE = 256
+
 
 class LabeledGraph:
     """Simple undirected graph; vertex ids are 0..|V|-1 fixed by label order.
@@ -72,20 +75,20 @@ class LabeledGraph:
         a = np.array(adj, dtype=bool)
         if a.shape != (nv, nv):
             raise ValueError(f"adjacency shape {a.shape} does not match {nv} labels")
-        if nv:
-            if (a != a.T).any():
-                raise ValueError("adjacency must be symmetric")
-            if a.diagonal().any():
-                raise ValueError("self-loops are not allowed")
-        if len(set(self.labels)) != nv:
+        if not _is_symmetric(a):
+            raise ValueError("adjacency must be symmetric")
+        if a.diagonal().any():
+            raise ValueError("self-loops are not allowed")
+        self._id_of = {lab: i for i, lab in enumerate(self.labels)}
+        if len(self._id_of) != nv:
             raise ValueError("labels must be pairwise distinct")
         a.setflags(write=False)
         self.adj = a
         self.modulus = modulus
-        deg = a.sum(axis=1, dtype=np.int64)
+        # int32 row sums run about twice as fast as int64 ones; |V| fits
+        deg = a.sum(axis=1, dtype=np.int32).astype(np.int64)
         deg.setflags(write=False)
         self._deg = deg
-        self._id_of = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
     def n_vertices(self) -> int:
@@ -125,11 +128,31 @@ class LabeledGraph:
         return f"LabeledGraph(|V|={self.n_vertices}, |E|={self.n_edges()}, modulus={self.modulus})"
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    # tile against mirrored tile: no |V|^2 temporary, and each transposed read
+    # stays within a cache-sized block
+    t = _SYMMETRY_TILE
+    for i in range(0, a.shape[0], t):
+        for j in range(i, a.shape[0], t):
+            if (a[i:i + t, j:j + t] != a[j:j + t, i:i + t].T).any():
+                return False
+    return True
+
+
 def _residue_graph(n: int, residues: np.ndarray) -> LabeledGraph:
+    """Residues adjacent iff n | u*v. For every prime power p^e of n,
+    v_p(uv) >= e iff min(v_p(u), e) + min(v_p(v), e) >= e, so n | u*v iff
+    n | gcd(u, n) * gcd(v, n): adjacency is fixed by a table over the
+    divisor classes gcd(k, n), the compressed zero-divisor graph."""
     vs = np.asarray(residues, dtype=np.int64)
-    adj = (vs[:, None] * vs[None, :]) % n == 0
+    gs = np.gcd(vs, n)
+    divisors = np.flatnonzero(np.bincount(gs, minlength=n + 1))
+    cls = np.searchsorted(divisors, gs)
+    table = (divisors[:, None] * divisors[None, :]) % n == 0
+    # row c of table[:, cls] is a class-c vertex's adjacency row: gather rows
+    adj = np.take(table[:, cls], cls, axis=0)
     np.fill_diagonal(adj, False)
-    return LabeledGraph([Residue(int(k)) for k in vs], adj, modulus=n)
+    return LabeledGraph([Residue(k) for k in vs.tolist()], adj, modulus=n)
 
 
 def gamma(n: int) -> LabeledGraph:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -85,25 +86,51 @@ def graph_from_json_obj(obj) -> tuple[LabeledGraph, GraphFamily]:
     for key in ("family", "vertices", "edges"):
         if key not in obj:
             raise FormatError(f"graph JSON is missing the {key!r} key")
+    for key in ("vertices", "edges"):
+        if not isinstance(obj[key], (list, tuple)):
+            raise FormatError(f"graph JSON {key!r} must be a list, got {type(obj[key]).__name__}")
     try:
         family = GraphFamily(obj["family"])
     except ValueError:
         raise FormatError(f"unknown graph family {obj['family']!r}") from None
     labels = [parse_label(s, family) for s in obj["vertices"]]
     nv = len(labels)
+    ends = _edge_ends(obj["edges"], nv)
     adj = np.zeros((nv, nv), dtype=bool)
-    for e in obj["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
-            raise FormatError(f"malformed edge entry {e!r}")
-        i, j = e
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < nv):
-            raise FormatError(f"edge {e!r} is out of range or not ascending")
-        adj[i, j] = adj[j, i] = True
+    adj[ends[:, 0], ends[:, 1]] = True
+    adj[ends[:, 1], ends[:, 0]] = True
     try:
         g = LabeledGraph(labels, adj, modulus=obj.get("n"))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     return g, family
+
+
+def _edge_ends(edges, nv: int) -> np.ndarray:
+    """The edge list as an (|E|, 2) int64 array, every entry a pair of ints
+    (bools count, as for isinstance) with 0 <= i < j < nv.
+
+    The whole list is checked in bulk; only when that fails are the entries
+    walked one by one, to name the first bad one."""
+    # exact types only: anything else, subclasses included, takes the walk
+    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}:
+        flat = list(chain.from_iterable(edges))
+        if set(map(type, flat)) <= {int, bool}:
+            try:
+                ends = np.array(flat, dtype=np.int64).reshape(-1, 2)
+            except OverflowError:
+                pass
+            else:
+                i, j = ends[:, 0], ends[:, 1]
+                if ((0 <= i) & (i < j) & (j < nv)).all():
+                    return ends
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+            raise FormatError(f"malformed edge entry {e!r}")
+        i, j = e
+        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < nv):
+            raise FormatError(f"edge {e!r} is out of range or not ascending")
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def _dot_name(lab: VertexLabel) -> str:

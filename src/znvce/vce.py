@@ -125,8 +125,11 @@ def _validate(g: LabeledGraph, part: Bipartition) -> None:
 
 
 def _inside_counts(g: LabeledGraph, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
+    # the one counting kernel behind is_vce and check_bipartition: neighbours
+    # on side B by a masked row sum, int32 because it runs about twice as fast
+    # as int64 and |V| fits
     deg = g.degrees()
-    nb_b = g.adj[:, part.in_b].sum(axis=1, dtype=np.int64)
+    nb_b = (g.adj & part.in_b).sum(axis=1, dtype=np.int32)
     inside = np.where(part.in_b, nb_b, deg - nb_b)
     return inside, deg - inside
 

@@ -27,6 +27,15 @@ def side_residues(g, part: Bipartition) -> tuple[list[int], list[int]]:
     return r, b
 
 
+def ref_residue_adj(n: int, ks) -> np.ndarray:
+    """Residue adjacency straight from the definition: u ~ v iff u != v and
+    n | u*v, from the full table of products."""
+    vs = np.asarray(ks, dtype=np.int64)
+    adj = (vs[:, None] * vs[None, :]) % n == 0
+    np.fill_diagonal(adj, False)
+    return adj
+
+
 def phi_by_gcd(n: int) -> int:
     ks = np.arange(1, n + 1, dtype=np.int64)
     return int(np.count_nonzero(np.gcd(ks, n) == 1))

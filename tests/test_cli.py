@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from znvce import GraphFamily, gamma, graph_to_json
+from znvce import GraphFamily, build_family, cli, constructions, gamma, graph_to_json
 from znvce.cli import (
     cmd_build,
     cmd_check,
@@ -203,6 +203,20 @@ class TestSurvey:
         text = cmd_survey(100, 100, [GraphFamily.GAMMA])
         assert text.splitlines()[1] == "100,gamma,PSquaredQSquared,59,Unknown,"
 
+    def test_each_row_builds_its_graph_once(self, monkeypatch):
+        built = []
+
+        def counting_build(n, family):
+            built.append((n, GraphFamily(family).value))
+            return build_family(n, family)
+
+        monkeypatch.setattr(cli, "build_family", counting_build)
+        monkeypatch.setattr(constructions, "build_family", counting_build)
+        # 2..30 holds empty, constructed, searched, isolated-vertex and Unknown rows
+        rows = cmd_survey(2, 30).splitlines()[1:]
+        assert "Unknown" in {row.split(",")[4] for row in rows}
+        assert sorted(built) == sorted((int(r.split(",")[0]), r.split(",")[1]) for r in rows)
+
     def test_determinism(self):
         assert cmd_survey(6, 40, [GraphFamily.GAMMA]) == cmd_survey(6, 40, [GraphFamily.GAMMA])
 
@@ -224,6 +238,16 @@ class TestMain:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["n"] == 15
+
+    def test_error_lines_go_to_stderr(self, tmp_path, capsys):
+        # a non-list vertex or edge field used to escape as a TypeError traceback
+        gp = write(tmp_path / "g.json", '{"family": "gamma", "vertices": 5, "edges": []}')
+        pp = write(tmp_path / "p.json", GOOD_PARTITION)
+        for argv, code in ((["check", gp, pp], 3), (["construct", "7"], 2),
+                           (["search", "--n", "30", "--local", "--seed", "-1"], 2)):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
 
     def test_construct_exit_codes(self, capsys):
         assert main(["construct", "30"]) == 0
@@ -267,12 +291,12 @@ class TestMain:
         for argv in (["search", "--n", "36", "--family", "total-of-gamma", "--cap", "100"],
                      ["construct", "36", "--family", "total-of-gamma", "--cap", "100"]):
             assert main(argv) == 2
-            out = capsys.readouterr().out
-            assert out.startswith("error:") and "exceeds the limit of 62" in out
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "exceeds the limit of 62" in err
 
     def test_local_bad_seed_errors_without_traceback(self, capsys):
         for flags in (["--seed", "-1"], ["--restarts", "0"], ["--steps", "0"],
                       ["--restarts", "-1"], ["--steps", "-4"]):
             assert main(["search", "--n", "30", "--local", *flags]) == 2
-            out = capsys.readouterr().out
-            assert out.startswith("error:") and "local_search needs" in out
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "local_search needs" in err

@@ -33,6 +33,7 @@ from znvce import (
     vce_squarefree,
     vce_total_pq,
 )
+from znvce import constructions
 
 
 class TestSquarefree:
@@ -376,6 +377,49 @@ class TestCertificateValidation:
         g = non_nilradical_graph(12)
         cert = NotVce(g, IsolatedVertex(0, Residue(2)))
         assert cert.witness.vertex == 0
+
+
+def _lone_first_vertex(g, *args):
+    # vertex 0 alone on side B: every vertex of R with a neighbour in R fails
+    return Bipartition(np.arange(g.n_vertices) == 0)
+
+
+@pytest.mark.parametrize("split, n, family, public", [
+    ("_squarefree_split", 30, GraphFamily.GAMMA, lambda: vce_squarefree(30)),
+    ("_p2q_split", 75, GraphFamily.GAMMA, lambda: vce_p2q(75)),
+    ("_balanced_split", 49, GraphFamily.NILRADICAL, lambda: vce_nilradical(49)),
+    ("_p3_split", 125, GraphFamily.NILRADICAL, lambda: vce_nilradical(125)),
+    ("_total_split", 15, GraphFamily.TOTAL_OF_GAMMA, lambda: vce_total_pq(3, 5)),
+])
+def test_failing_split_never_leaves_unverified(monkeypatch, split, n, family, public):
+    """A construction whose split is wrong must raise, from dispatch and
+    from the public builder alike, rather than return the partition."""
+    monkeypatch.setattr(constructions, split, _lone_first_vertex)
+    with pytest.raises(ConstructionError):
+        dispatch(n, family)
+    with pytest.raises(ConstructionError):
+        public()
+
+
+def test_dispatch_verifies_a_construction_once(monkeypatch):
+    calls = []
+
+    def counting_is_vce(g, part):
+        calls.append(g.n_vertices)
+        return is_vce(g, part)
+
+    monkeypatch.setattr(constructions, "is_vce", counting_is_vce)
+    cert = dispatch(30, GraphFamily.GAMMA)
+    assert isinstance(cert, Exists) and calls == [21]
+    vce_squarefree(30)
+    assert calls == [21, 21]
+
+
+def test_dispatch_takes_a_prebuilt_graph(monkeypatch):
+    g = gamma(30)
+    monkeypatch.setattr(constructions, "build_family", None)
+    cert = dispatch(30, GraphFamily.GAMMA, graph=g)
+    assert cert.graph is g and cert.source is ConstructionId.THM2_1_SQUAREFREE
 
 
 def test_constructed_small_graphs_agree_with_brute_force():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import complete_graph, edge_residues, phi_by_gcd, residues
+from helpers import complete_graph, edge_residues, phi_by_gcd, ref_residue_adj, residues
 from znvce import (
     DomainError,
     EdgePair,
@@ -19,6 +19,7 @@ from znvce import (
     total_graph,
     zero_divisors,
 )
+from znvce.graphs import _SYMMETRY_TILE
 
 GAMMA_16_EDGES = {(2, 8), (4, 8), (4, 12), (6, 8), (8, 10), (8, 12), (8, 14)}
 
@@ -82,6 +83,14 @@ def test_nilpotent_split_is_an_induced_partition():
         om_idx = np.flatnonzero(np.isin(ks, om_ks))
         assert (nil.adj == g.adj[np.ix_(nil_idx, nil_idx)]).all()
         assert (om.adj == g.adj[np.ix_(om_idx, om_idx)]).all()
+
+
+def test_residue_adjacency_matches_the_product_definition():
+    # the class-table build against n | u*v computed product by product
+    for n in range(2, 601):
+        for build in (gamma, nilradical_graph, non_nilradical_graph):
+            g = build(n)
+            assert (g.adj == ref_residue_adj(n, residues(g))).all(), (n, build.__name__)
 
 
 def test_line_graph_of_gamma_16():
@@ -181,6 +190,28 @@ def test_graph_validation():
         LabeledGraph([Residue(1)], [[True]])
     with pytest.raises(ValueError):
         LabeledGraph([Residue(1), Residue(2)], np.zeros((3, 3), dtype=bool))
+
+
+_T = _SYMMETRY_TILE
+
+
+@pytest.mark.parametrize("u, v", [
+    (2 * _T + 87, 2 * _T + 86),  # far-corner tile, on the diagonal of tiles
+    (2 * _T + 87, 0),            # far-corner tile below the diagonal
+    (0, 2 * _T + 87),            # and its mirror above it
+    (_T - 1, _T),                # straddling a tile boundary
+    (_T, _T - 1),
+    (2 * _T - 1, 2 * _T),
+])
+def test_symmetry_is_checked_in_every_tile(u, v):
+    nv = 2 * _T + 88
+    a = np.zeros((nv, nv), dtype=bool)
+    a[u, v] = True
+    labels = [Residue(i + 1) for i in range(nv)]
+    with pytest.raises(ValueError, match="symmetric"):
+        LabeledGraph(labels, a)
+    a[v, u] = True
+    assert LabeledGraph(labels, a).has_edge(v, u)
 
 
 def test_adjacency_is_frozen():

@@ -120,6 +120,43 @@ class TestGraphFromJsonErrors:
             with pytest.raises(FormatError):
                 graph_from_json(base % bad)
 
+    @pytest.mark.parametrize("edges, message", [
+        ("[[0]]", "malformed edge entry [0]"),
+        ("[[0, 1, 2]]", "malformed edge entry [0, 1, 2]"),
+        ("[[1, 0]]", "edge [1, 0] is out of range or not ascending"),
+        ("[[0, 5]]", "edge [0, 5] is out of range or not ascending"),
+        ("[[-1, 1]]", "edge [-1, 1] is out of range or not ascending"),
+        ("[[0, 0]]", "edge [0, 0] is out of range or not ascending"),
+        ('[["a", 1]]', "edge ['a', 1] is out of range or not ascending"),
+        ("[[0, 1.0]]", "edge [0, 1.0] is out of range or not ascending"),
+        ("[[0, [1]]]", "edge [0, [1]] is out of range or not ascending"),
+        ("[[[0, 1]]]", "malformed edge entry [[0, 1]]"),
+        ("[[0, 18446744073709551616]]",
+         "edge [0, 18446744073709551616] is out of range or not ascending"),
+        ("[[0, 1], [1, 0], [0, 9]]", "edge [1, 0] is out of range or not ascending"),
+        ("[[0, 1], null]", "malformed edge entry None"),
+        ("5", "graph JSON 'edges' must be a list, got int"),
+        ('{"0": 1}', "graph JSON 'edges' must be a list, got dict"),
+        ('"01"', "graph JSON 'edges' must be a list, got str"),
+    ])
+    def test_bad_edge_names_the_first_bad_entry(self, edges, message):
+        text = '{"family": "gamma", "vertices": ["2", "3", "4"], "edges": %s}' % edges
+        with pytest.raises(FormatError) as exc:
+            graph_from_json(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("vertices, kind", [("5", "int"), ("null", "NoneType"), ('"23"', "str")])
+    def test_vertices_must_be_a_list(self, vertices, kind):
+        text = '{"family": "gamma", "vertices": %s, "edges": []}' % vertices
+        with pytest.raises(FormatError) as exc:
+            graph_from_json(text)
+        assert str(exc.value) == f"graph JSON 'vertices' must be a list, got {kind}"
+
+    def test_bool_endpoints_count_as_ints(self):
+        text = '{"family": "gamma", "vertices": ["2", "3", "4"], "edges": [[false, true], [1, 2]]}'
+        g, _ = graph_from_json(text)
+        assert g.edges() == [(0, 1), (1, 2)]
+
     def test_duplicate_labels(self):
         with pytest.raises(FormatError):
             graph_from_json('{"family": "gamma", "vertices": ["2", "2"], "edges": []}')
