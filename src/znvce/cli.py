@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .constructions import Certificate, Exists, ExhaustedSearch, IsolatedVertex, NotVce, dispatch
 from .errors import DomainError, FormatError, PartitionError
-from .graphs import GraphFamily, build_family
+from .graphs import GraphFamily, LabeledGraph, build_family
 from .rings import classify, factorize
 from .search import DEFAULT_VERTEX_CAP, SearchStatus, brute_force, local_search
 from .serialize import (
@@ -18,7 +18,7 @@ from .serialize import (
     graph_to_json,
     partition_from_json,
 )
-from .vce import PartitionVerdict, check_bipartition
+from .vce import Bipartition, PartitionVerdict, check_bipartition
 
 _FAMILY_CHOICES = [f.value for f in GraphFamily]
 
@@ -32,16 +32,17 @@ def cmd_build(n: int, family: GraphFamily, fmt: str) -> str:
     raise DomainError(f"unknown format {fmt!r}")
 
 
-def _render_certificate(g_family: GraphFamily, cert: Certificate | None) -> tuple[str, int]:
+def _side_lines(g: LabeledGraph, part: Bipartition) -> list[str]:
+    """The `R: …` and `B: …` lines, each side's labels by vertex id."""
+    return [f"{side}: " + " ".join(g.labels[int(i)].render() for i in ids)
+            for side, ids in (("R", part.r_ids), ("B", part.b_ids))]
+
+
+def _render_certificate(cert: Certificate | None) -> tuple[str, int]:
     if cert is None:
         return "unknown: no construction applies and the graph exceeds the exhaustive cap\n", 2
     if isinstance(cert, Exists):
-        g = cert.graph
-        r = " ".join(g.labels[int(i)].render() for i in cert.partition.r_ids)
-        b = " ".join(g.labels[int(i)].render() for i in cert.partition.b_ids)
-        lines = [
-            f"R: {r}",
-            f"B: {b}",
+        lines = _side_lines(cert.graph, cert.partition) + [
             "verdict: VeryCostEffective",
             f"source: {cert.source_tag}",
         ]
@@ -58,7 +59,7 @@ def cmd_construct(n: int, family: GraphFamily, cap: int = DEFAULT_VERTEX_CAP) ->
         cert = dispatch(n, family, vertex_cap=cap)
     except DomainError as exc:
         return f"error: {exc}\n", 2
-    return _render_certificate(family, cert)
+    return _render_certificate(cert)
 
 
 def cmd_check(graph_path: str, partition_path: str) -> tuple[str, int]:
@@ -72,17 +73,16 @@ def cmd_check(graph_path: str, partition_path: str) -> tuple[str, int]:
     except (FormatError, PartitionError) as exc:
         return f"error: {exc}\n", 3
     report = check_bipartition(g, part)
-    out = io.StringIO()
-    for t in report.tallies:
-        lab = g.labels[t.vertex].render()
-        side = part.side_of(t.vertex)
-        out.write(f"{lab} [{side}]: inside {t.inside} outside {t.outside} {t.verdict.value}\n")
-    out.write(f"partition verdict: {report.partition_verdict.value}\n")
+    names = [lab.render() for lab in g.labels]
+    lines = map("{} [{}]: inside {} outside {} {}\n".format,
+                names, map("RB".__getitem__, part.in_b.tolist()),
+                report.inside.tolist(), report.outside.tolist(),
+                [v.value for v in report.vertex_verdicts()])
+    text = "".join(lines) + f"partition verdict: {report.partition_verdict.value}\n"
     if report.witnesses:
-        names = " ".join(g.labels[v].render() for v in report.witnesses)
-        out.write(f"witnesses: {names}\n")
+        text += "witnesses: " + " ".join(names[v] for v in report.witnesses) + "\n"
     code = 0 if report.partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE else 1
-    return out.getvalue(), code
+    return text, code
 
 
 def cmd_search(
@@ -116,9 +116,7 @@ def cmd_search(
     if out.reason:
         lines.append(f"reason: {out.reason}")
     if out.partition is not None:
-        r = " ".join(g.labels[int(i)].render() for i in out.partition.r_ids)
-        b = " ".join(g.labels[int(i)].render() for i in out.partition.b_ids)
-        lines += [f"R: {r}", f"B: {b}"]
+        lines += _side_lines(g, out.partition)
     code = {SearchStatus.FOUND: 0, SearchStatus.NONE_EXISTS: 1,
             SearchStatus.INCONCLUSIVE: 2}[out.status]
     return "\n".join(lines) + "\n", code

@@ -70,9 +70,20 @@ class LabeledGraph:
     __slots__ = ("labels", "adj", "modulus", "_deg", "_id_of")
 
     def __init__(self, labels: Iterable[VertexLabel], adj, modulus: int | None = None):
+        self._init(labels, np.array(adj, dtype=bool), modulus)
+
+    @classmethod
+    def _adopt(cls, labels: Iterable[VertexLabel], adj: np.ndarray,
+               modulus: int | None = None) -> "LabeledGraph":
+        """A graph that takes `adj`, a fresh bool matrix that nothing else
+        holds, as its own without the copy `__init__` makes."""
+        g = cls.__new__(cls)
+        g._init(labels, adj, modulus)
+        return g
+
+    def _init(self, labels: Iterable[VertexLabel], a: np.ndarray, modulus: int | None) -> None:
         self.labels: tuple[VertexLabel, ...] = tuple(labels)
         nv = len(self.labels)
-        a = np.array(adj, dtype=bool)
         if a.shape != (nv, nv):
             raise ValueError(f"adjacency shape {a.shape} does not match {nv} labels")
         if not _is_symmetric(a):
@@ -152,7 +163,7 @@ def _residue_graph(n: int, residues: np.ndarray) -> LabeledGraph:
     # row c of table[:, cls] is a class-c vertex's adjacency row: gather rows
     adj = np.take(table[:, cls], cls, axis=0)
     np.fill_diagonal(adj, False)
-    return LabeledGraph([Residue(k) for k in vs.tolist()], adj, modulus=n)
+    return LabeledGraph._adopt([Residue(k) for k in vs.tolist()], adj, modulus=n)
 
 
 def gamma(n: int) -> LabeledGraph:
@@ -197,7 +208,7 @@ def line_graph(g: LabeledGraph) -> LabeledGraph:
         inc[i, k] = inc[j, k] = True
         lo, hi = sorted((g.labels[i].k, g.labels[j].k))
         labels.append(EdgePair(lo, hi))
-    return LabeledGraph(labels, _shared_endpoint_adj(inc), modulus=g.modulus)
+    return LabeledGraph._adopt(labels, _shared_endpoint_adj(inc), modulus=g.modulus)
 
 
 def total_graph(g: LabeledGraph) -> LabeledGraph:
@@ -213,7 +224,7 @@ def total_graph(g: LabeledGraph) -> LabeledGraph:
         edge_labels.append(TotalEdge(lo, hi))
     adj = np.block([[g.adj, inc], [inc.T, _shared_endpoint_adj(inc)]])
     labels = [TotalOriginal(lab.k) for lab in g.labels] + edge_labels
-    return LabeledGraph(labels, adj, modulus=g.modulus)
+    return LabeledGraph._adopt(labels, adj, modulus=g.modulus)
 
 
 def isolated_vertices(g: LabeledGraph) -> list[VertexLabel]:

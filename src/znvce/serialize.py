@@ -43,12 +43,13 @@ def parse_label(text, family: GraphFamily) -> VertexLabel:
         if m:
             raise FormatError(f"family {family.value} has residue labels, got {s!r}")
         return Residue(_parse_residue(s))
-    if family is GraphFamily.LINE_OF_GAMMA:
-        if not m:
-            raise FormatError(f"family {family.value} has pair labels, got {s!r}")
-        return EdgePair(int(m.group(1)), int(m.group(2)))
+    if family is GraphFamily.LINE_OF_GAMMA and not m:
+        raise FormatError(f"family {family.value} has pair labels, got {s!r}")
     if m:
-        return TotalEdge(int(m.group(1)), int(m.group(2)))
+        a, b = int(m.group(1)), int(m.group(2))
+        if not a < b:
+            raise FormatError(f"pair label {s!r} is not ascending")
+        return (EdgePair if family is GraphFamily.LINE_OF_GAMMA else TotalEdge)(a, b)
     return TotalOriginal(_parse_residue(s))
 
 
@@ -57,6 +58,18 @@ def _parse_residue(s: str) -> int:
         return int(s)
     except ValueError:
         raise FormatError(f"cannot parse vertex label {s!r}") from None
+
+
+def _parse_labels(entries, family: GraphFamily) -> list[VertexLabel]:
+    """parse_label over a list of entries. Residue labels that are all exact
+    strs or ints are parsed by one map(int); anything else, and pair labels,
+    go through parse_label one entry at a time, which names a bad entry."""
+    if family in _RESIDUE_FAMILIES and set(map(type, entries)) <= {str, int}:
+        try:
+            return list(map(Residue, map(int, entries)))
+        except ValueError:
+            pass
+    return [parse_label(s, family) for s in entries]
 
 
 def graph_to_json_obj(g: LabeledGraph, family: GraphFamily) -> dict:
@@ -93,14 +106,14 @@ def graph_from_json_obj(obj) -> tuple[LabeledGraph, GraphFamily]:
         family = GraphFamily(obj["family"])
     except ValueError:
         raise FormatError(f"unknown graph family {obj['family']!r}") from None
-    labels = [parse_label(s, family) for s in obj["vertices"]]
+    labels = _parse_labels(obj["vertices"], family)
     nv = len(labels)
     ends = _edge_ends(obj["edges"], nv)
     adj = np.zeros((nv, nv), dtype=bool)
     adj[ends[:, 0], ends[:, 1]] = True
     adj[ends[:, 1], ends[:, 0]] = True
     try:
-        g = LabeledGraph(labels, adj, modulus=obj.get("n"))
+        g = LabeledGraph._adopt(labels, adj, modulus=obj.get("n"))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     return g, family
@@ -112,15 +125,17 @@ def _edge_ends(edges, nv: int) -> np.ndarray:
 
     The whole list is checked in bulk; only when that fails are the entries
     walked one by one, to name the first bad one."""
-    # exact types only: anything else, subclasses included, takes the walk
+    # exact list types only, and the ends as numpy reads them: ints that fit
+    # int64, or bools. Anything else (floats, strs, None, nested lists, ints
+    # out of int64 range) takes the walk
     if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}:
-        flat = list(chain.from_iterable(edges))
-        if set(map(type, flat)) <= {int, bool}:
-            try:
-                ends = np.array(flat, dtype=np.int64).reshape(-1, 2)
-            except OverflowError:
-                pass
-            else:
+        try:
+            flat = np.array(list(chain.from_iterable(edges)))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if flat.ndim == 1 and flat.dtype.kind in "ib":
+                ends = flat.astype(np.int64, copy=False).reshape(-1, 2)
                 i, j = ends[:, 0], ends[:, 1]
                 if ((0 <= i) & (i < j) & (j < nv)).all():
                     return ends
@@ -164,6 +179,8 @@ def partition_to_json(g: LabeledGraph, part: Bipartition) -> str:
 def partition_from_json(text: str, g: LabeledGraph, family: GraphFamily) -> Bipartition:
     """Parse {"R": […], "B": […]} against a known graph.
 
+    Entries that render a vertex's label exactly are matched in bulk; any
+    other entry is parsed by `family`, which also names a bad entry.
     Raises FormatError for unparseable input, unknown labels, or a vertex
     listed twice or missing; PartitionError (from Bipartition) for empty sides.
     """
@@ -173,6 +190,24 @@ def partition_from_json(text: str, g: LabeledGraph, family: GraphFamily) -> Bipa
         raise FormatError(f"partition file is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or "R" not in obj or "B" not in obj:
         raise FormatError('partition JSON must be an object with "R" and "B" lists')
+    for side in ("R", "B"):
+        if not isinstance(obj[side], list):
+            raise FormatError(
+                f"partition JSON {side!r} must be a list, got {type(obj[side]).__name__}")
+    # entries that are all rendered labels, each vertex once, are looked up
+    # in bulk; anything else takes the walk below, which names a bad entry
+    r, b = obj["R"], obj["B"]
+    if set(map(type, r)) | set(map(type, b)) <= {str}:
+        ids = dict(zip([lab.render() for lab in g.labels], range(g.n_vertices)))
+        try:
+            r_ids, b_ids = list(map(ids.__getitem__, r)), list(map(ids.__getitem__, b))
+        except KeyError:
+            pass
+        else:
+            if len(r) + len(b) == g.n_vertices == len(set(r_ids).union(b_ids)):
+                in_b = np.zeros(g.n_vertices, dtype=bool)
+                in_b[b_ids] = True
+                return Bipartition(in_b)
     seen: set[int] = set()
     sides: dict[str, list[int]] = {"R": [], "B": []}
     for side in ("R", "B"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -87,6 +88,10 @@ class Bipartition:
         return f"Bipartition(|R|={self.graph_size - int(self.in_b.sum())}, |B|={int(self.in_b.sum())})"
 
 
+# a vertex's verdict by the sign of inside - outside, plus one
+_BY_SIGN = (Verdict.VERY_COST_EFFECTIVE, Verdict.COST_EFFECTIVE_ONLY, Verdict.NOT_COST_EFFECTIVE)
+
+
 @dataclass(frozen=True)
 class VertexTally:
     vertex: int
@@ -96,26 +101,34 @@ class VertexTally:
 
     @classmethod
     def from_counts(cls, vertex: int, inside: int, outside: int) -> "VertexTally":
-        if inside < outside:
-            v = Verdict.VERY_COST_EFFECTIVE
-        elif inside == outside:
-            v = Verdict.COST_EFFECTIVE_ONLY
-        else:
-            v = Verdict.NOT_COST_EFFECTIVE
-        return cls(vertex, inside, outside, v)
+        return cls(vertex, inside, outside, _BY_SIGN[(inside > outside) - (inside < outside) + 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VceReport:
-    """Tallies for every vertex plus the partition-level verdict.
+    """Neighbour counts for every vertex plus the partition-level verdict.
 
-    `witnesses` lists the vertices that are not very cost effective,
-    ascending by id; empty exactly when the verdict is VeryCostEffective.
+    `inside` and `outside` are read-only int arrays by vertex id: the
+    vertex's neighbours on its own side and on the other. `witnesses` lists
+    the vertices that are not very cost effective, ascending by id; empty
+    exactly when the verdict is VeryCostEffective.
     """
 
-    tallies: tuple[VertexTally, ...]
+    inside: np.ndarray
+    outside: np.ndarray
     partition_verdict: PartitionVerdict
     witnesses: tuple[int, ...]
+
+    def vertex_verdicts(self) -> list[Verdict]:
+        """Each vertex's verdict, by id."""
+        signs = np.sign(self.inside - self.outside) + 1
+        return list(map(_BY_SIGN.__getitem__, signs.tolist()))
+
+    @cached_property
+    def tallies(self) -> tuple[VertexTally, ...]:
+        """One VertexTally per vertex, by id, built on first use."""
+        return tuple(map(VertexTally, range(self.inside.size), self.inside.tolist(),
+                         self.outside.tolist(), self.vertex_verdicts()))
 
 
 def _validate(g: LabeledGraph, part: Bipartition) -> None:
@@ -147,10 +160,8 @@ def check_bipartition(g: LabeledGraph, part: Bipartition) -> VceReport:
     """Full per-vertex report; deterministic, no short-circuiting."""
     _validate(g, part)
     inside, outside = _inside_counts(g, part)
-    tallies = tuple(
-        VertexTally.from_counts(v, int(inside[v]), int(outside[v]))
-        for v in range(g.n_vertices)
-    )
+    inside.setflags(write=False)
+    outside.setflags(write=False)
     vce = inside < outside
     if vce.all():
         verdict = PartitionVerdict.VERY_COST_EFFECTIVE
@@ -159,7 +170,7 @@ def check_bipartition(g: LabeledGraph, part: Bipartition) -> VceReport:
     else:
         verdict = PartitionVerdict.NEITHER
     witnesses = tuple(np.flatnonzero(~vce).tolist())
-    return VceReport(tallies, verdict, witnesses)
+    return VceReport(inside, outside, verdict, witnesses)
 
 
 def is_vce(g: LabeledGraph, part: Bipartition) -> bool:

@@ -4,9 +4,11 @@ The reference functions here recompute results straight from the definitions
 (pairwise products, repeated squaring, full bipartition enumeration) so the
 package under test is never used to verify itself.
 """
+import io
+
 import numpy as np
 
-from znvce import Bipartition, LabeledGraph, Residue
+from znvce import Bipartition, LabeledGraph, PartitionVerdict, Residue, Verdict, VertexTally
 
 
 def complete_graph(m: int) -> LabeledGraph:
@@ -140,3 +142,46 @@ def random_graph(nv: int, seed: int, p: float = 0.4) -> LabeledGraph:
     adj = np.triu(adj, 1)
     adj = adj | adj.T
     return LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
+
+
+def ref_tallies(g, part: Bipartition) -> tuple:
+    """One VertexTally per vertex, counted from the adjacency rows and
+    judged by the definition, one vertex at a time."""
+    out = []
+    for v in range(g.n_vertices):
+        nbrs = np.flatnonzero(g.adj[v])
+        inside = int(np.count_nonzero(part.in_b[nbrs] == part.in_b[v]))
+        outside = nbrs.size - inside
+        if inside < outside:
+            verdict = Verdict.VERY_COST_EFFECTIVE
+        elif inside == outside:
+            verdict = Verdict.COST_EFFECTIVE_ONLY
+        else:
+            verdict = Verdict.NOT_COST_EFFECTIVE
+        out.append(VertexTally(v, inside, outside, verdict))
+    return tuple(out)
+
+
+def ref_check_text(g, part: Bipartition) -> tuple[str, int]:
+    """`znvce check`'s output and exit code as first written: a line per
+    VertexTally, each rendered on its own. The tallies come from
+    ref_tallies, so nothing of the package's report is used."""
+    tallies = ref_tallies(g, part)
+    if all(t.verdict is Verdict.VERY_COST_EFFECTIVE for t in tallies):
+        partition_verdict = PartitionVerdict.VERY_COST_EFFECTIVE
+    elif all(t.verdict is not Verdict.NOT_COST_EFFECTIVE for t in tallies):
+        partition_verdict = PartitionVerdict.COST_EFFECTIVE_ONLY
+    else:
+        partition_verdict = PartitionVerdict.NEITHER
+    witnesses = [t.vertex for t in tallies if t.verdict is not Verdict.VERY_COST_EFFECTIVE]
+    out = io.StringIO()
+    for t in tallies:
+        lab = g.labels[t.vertex].render()
+        side = part.side_of(t.vertex)
+        out.write(f"{lab} [{side}]: inside {t.inside} outside {t.outside} {t.verdict.value}\n")
+    out.write(f"partition verdict: {partition_verdict.value}\n")
+    if witnesses:
+        names = " ".join(g.labels[v].render() for v in witnesses)
+        out.write(f"witnesses: {names}\n")
+    code = 0 if partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE else 1
+    return out.getvalue(), code

@@ -1,8 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 
-from znvce import GraphFamily, build_family, cli, constructions, gamma, graph_to_json
+from helpers import ref_check_text
+from znvce import (
+    Bipartition,
+    GraphFamily,
+    build_family,
+    cli,
+    constructions,
+    dispatch,
+    gamma,
+    graph_to_json,
+    partition_to_json,
+    total_graph,
+)
 from znvce.cli import (
     cmd_build,
     cmd_check,
@@ -134,6 +147,118 @@ class TestCheck:
         pp = write(tmp_path / "p.json", '{"R": ["(3,5)"], "B": ["5"]}')
         text, code = cmd_check(gp, pp)
         assert code == 3 and "residue labels" in text
+
+
+class TestCheckMatchesReference:
+    """`check` output and exit code, byte for byte, against the renderer
+    as first written (helpers.ref_check_text)."""
+
+    @pytest.mark.parametrize("n, family", [
+        (210, "gamma"), (75, "gamma"), (225, "nilradical"), (125, "nilradical"),
+        (210, "omega"), (35, "line-of-gamma"), (77, "line-of-gamma"),
+        (35, "total-of-gamma"), (21, "total-of-gamma"),
+    ])
+    def test_intact_and_tampered_partitions(self, tmp_path, n, family):
+        cert = dispatch(n, family)
+        g = cert.graph
+        gp = write(tmp_path / "g.json", graph_to_json(g, family))
+        rng = np.random.default_rng(n)
+        masks = [cert.partition.in_b]
+        for v in rng.choice(g.n_vertices, size=3, replace=False):
+            flipped = cert.partition.in_b.copy()
+            flipped[v] = not flipped[v]
+            masks.append(flipped)
+        masks += [rng.random(g.n_vertices) < 0.5 for _ in range(3)]
+        codes = set()
+        for in_b in masks:
+            if in_b.all() or not in_b.any():
+                continue
+            part = Bipartition(in_b)
+            pp = write(tmp_path / "p.json", partition_to_json(g, part))
+            got = cmd_check(gp, pp)
+            assert got == ref_check_text(g, part)
+            codes.add(got[1])
+        assert codes == {0, 1}
+
+    def test_cost_effective_only(self, tmp_path):
+        gp = write(tmp_path / "g.json", GAMMA_15_JSON)
+        pp = write(tmp_path / "p.json", BAD_PARTITION)
+        g = gamma(15)
+        part = Bipartition(np.array([False, False, False, False, True, False]))
+        assert cmd_check(gp, pp) == ref_check_text(g, part)
+        pp = write(tmp_path / "p.json", '{"R": ["3", "6", "5"], "B": ["9", "12", "10"]}')
+        text, code = cmd_check(gp, pp)
+        assert "partition verdict: CostEffectiveOnly" in text
+        part = Bipartition(np.array([False, False, False, True, True, True]))
+        assert (text, code) == ref_check_text(g, part)
+
+    @pytest.mark.parametrize("vertices, partition", [
+        ('["003", 5, "006", "9", 10, "0012"]', '{"R": ["5", "10"], "B": ["3", "6", "9", "12"]}'),
+        ('[3, 5, 6, 9, 10, 12]', '{"R": ["05", 10], "B": [3, "6", "009", "12"]}'),
+        ('["3", "5", "6", "9", "10", "12"]', '{"R": ["5", "10", "3"], "B": [6, "9", "12"]}'),
+    ])
+    def test_non_canonical_labels(self, tmp_path, vertices, partition):
+        g = gamma(15)
+        edges = json.dumps([list(e) for e in g.edges()])
+        gp = write(tmp_path / "g.json",
+                   '{"n": 15, "family": "gamma", "vertices": %s, "edges": %s}' % (vertices, edges))
+        pp = write(tmp_path / "p.json", partition)
+        obj = json.loads(partition)
+        in_b = np.isin([lab.k for lab in g.labels], [int(x) for x in obj["B"]])
+        assert cmd_check(gp, pp) == ref_check_text(g, Bipartition(in_b))
+
+    def test_bare_int_labels_in_a_total_graph(self, tmp_path):
+        g = total_graph(gamma(15))
+        obj = json.loads(graph_to_json(g, GraphFamily.TOTAL_OF_GAMMA))
+        obj["vertices"] = [int(s) if s.isdigit() else s for s in obj["vertices"]]
+        gp = write(tmp_path / "g.json", json.dumps(obj))
+        cert = dispatch(15, "total-of-gamma")
+        pp = write(tmp_path / "p.json", partition_to_json(g, cert.partition))
+        assert cmd_check(gp, pp) == ref_check_text(g, cert.partition)
+
+
+class TestCheckBadFiles:
+    """Malformed input is an `error:` line and exit 3, never a traceback."""
+
+    @pytest.mark.parametrize("family, vertices, bad", [
+        ("line-of-gamma", '["(3,5)", "(5,3)"]', "(5,3)"),
+        ("line-of-gamma", '["(3,3)"]', "(3,3)"),
+        ("total-of-gamma", '["3", "5", "(5,3)"]', "(5,3)"),
+    ])
+    def test_reversed_pair_label_in_graph_file(self, tmp_path, family, vertices, bad):
+        gp = write(tmp_path / "g.json",
+                   '{"family": "%s", "vertices": %s, "edges": []}' % (family, vertices))
+        pp = write(tmp_path / "p.json", '{"R": [], "B": []}')
+        assert cmd_check(gp, pp) == (f"error: pair label '{bad}' is not ascending\n", 3)
+
+    @pytest.mark.parametrize("family", ["line-of-gamma", "total-of-gamma"])
+    def test_reversed_pair_label_in_partition_file(self, tmp_path, family):
+        g = build_family(15, family)
+        gp = write(tmp_path / "g.json", graph_to_json(g, family))
+        obj = json.loads(partition_to_json(g, dispatch(15, family).partition))
+        obj["R"][-1] = "(%s,%s)" % tuple(reversed(obj["R"][-1][1:-1].split(",")))
+        pp = write(tmp_path / "p.json", json.dumps(obj))
+        assert cmd_check(gp, pp) == (f"error: pair label {obj['R'][-1]!r} is not ascending\n", 3)
+
+    @pytest.mark.parametrize("partition, message", [
+        ('{"R": 5, "B": ["3"]}', "partition JSON 'R' must be a list, got int"),
+        ('{"R": "3", "B": ["5", "6", "9", "10", "12"]}', "partition JSON 'R' must be a list, got str"),
+        ('{"R": ["3"], "B": "5691012"}', "partition JSON 'B' must be a list, got str"),
+        ('{"R": ["3", "6", "9", "12"], "B": {"5": 1, "10": 2}}',
+         "partition JSON 'B' must be a list, got dict"),
+        ('{"R": null, "B": []}', "partition JSON 'R' must be a list, got NoneType"),
+    ])
+    def test_sides_must_be_lists(self, tmp_path, partition, message):
+        gp = write(tmp_path / "g.json", GAMMA_15_JSON)
+        pp = write(tmp_path / "p.json", partition)
+        assert cmd_check(gp, pp) == (f"error: {message}\n", 3)
+
+    def test_reversed_pair_label_exits_3_from_main(self, tmp_path, capsys):
+        gp = write(tmp_path / "g.json", '{"family": "line-of-gamma", "vertices": ["(5,3)"], "edges": []}')
+        pp = write(tmp_path / "p.json", '{"R": [], "B": []}')
+        assert main(["check", gp, pp]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: pair label '(5,3)' is not ascending\n"
 
 
 class TestSearch:

@@ -192,6 +192,29 @@ def test_graph_validation():
         LabeledGraph([Residue(1), Residue(2)], np.zeros((3, 3), dtype=bool))
 
 
+def test_caller_adjacency_is_copied():
+    a = np.array([[False, True], [True, False]])
+    g = LabeledGraph([Residue(1), Residue(2)], a)
+    assert not np.shares_memory(g.adj, a) and a.flags.writeable
+    a[0, 1] = a[1, 0] = False
+    assert g.has_edge(0, 1)
+
+
+def test_adopted_adjacency_is_checked_and_kept():
+    a = np.array([[False, True], [True, False]])
+    g = LabeledGraph._adopt([Residue(1), Residue(2)], a)
+    assert g.adj is a and not a.flags.writeable
+    bad = [
+        ([Residue(1), Residue(1)], np.zeros((2, 2), dtype=bool)),
+        ([Residue(1), Residue(2)], np.array([[False, True], [False, False]])),
+        ([Residue(1)], np.array([[True]])),
+        ([Residue(1), Residue(2)], np.zeros((3, 3), dtype=bool)),
+    ]
+    for labels, adj in bad:
+        with pytest.raises(ValueError):
+            LabeledGraph._adopt(labels, adj)
+
+
 _T = _SYMMETRY_TILE
 
 

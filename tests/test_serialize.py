@@ -135,6 +135,21 @@ class TestGraphFromJsonErrors:
          "edge [0, 18446744073709551616] is out of range or not ascending"),
         ("[[0, 1], [1, 0], [0, 9]]", "edge [1, 0] is out of range or not ascending"),
         ("[[0, 1], null]", "malformed edge entry None"),
+        ("[[0, 1], [1, 2.0]]", "edge [1, 2.0] is out of range or not ascending"),
+        ('[["0", "1"]]', "edge ['0', '1'] is out of range or not ascending"),
+        ('[[0, 1], "12"]', "malformed edge entry '12'"),
+        ("[[true, true]]", "edge [True, True] is out of range or not ascending"),
+        ("[[false, true], [0, 1.5]]", "edge [0, 1.5] is out of range or not ascending"),
+        ("[[0, null]]", "edge [0, None] is out of range or not ascending"),
+        ("[[[0, 1], [1, 2]]]", "edge [[0, 1], [1, 2]] is out of range or not ascending"),
+        ("[[0, 9223372036854775807]]",
+         "edge [0, 9223372036854775807] is out of range or not ascending"),
+        ("[[0, 9223372036854775808]]",
+         "edge [0, 9223372036854775808] is out of range or not ascending"),
+        ("[[true, 9223372036854775808]]",
+         "edge [True, 9223372036854775808] is out of range or not ascending"),
+        ("[[-9223372036854775809, 1]]",
+         "edge [-9223372036854775809, 1] is out of range or not ascending"),
         ("5", "graph JSON 'edges' must be a list, got int"),
         ('{"0": 1}', "graph JSON 'edges' must be a list, got dict"),
         ('"01"', "graph JSON 'edges' must be a list, got str"),
@@ -160,6 +175,32 @@ class TestGraphFromJsonErrors:
     def test_duplicate_labels(self):
         with pytest.raises(FormatError):
             graph_from_json('{"family": "gamma", "vertices": ["2", "2"], "edges": []}')
+
+    @pytest.mark.parametrize("family", ["gamma", "nilradical", "omega"])
+    @pytest.mark.parametrize("vertices, message", [
+        ('["(3,5)", "5"]', "has residue labels, got '(3,5)'"),
+        ('[3, "5", "(3,5)"]', "has residue labels, got '(3,5)'"),
+        ('["3", "3.0"]', "cannot parse vertex label '3.0'"),
+        ('["3", true]', "cannot parse vertex label 'True'"),
+        ('["3", 5.0]', "cannot parse vertex label '5.0'"),
+        ('["3", null]', "cannot parse vertex label 'None'"),
+        ('["3", [5]]', "cannot parse vertex label '[5]'"),
+        ('["3", 3]', "labels must be pairwise distinct"),
+        ('["3", "003"]', "labels must be pairwise distinct"),
+    ])
+    def test_bad_residue_label_message(self, family, vertices, message):
+        text = '{"family": "%s", "vertices": %s, "edges": []}' % (family, vertices)
+        with pytest.raises(FormatError) as exc:
+            graph_from_json(text)
+        if message.startswith("has"):
+            message = f"family {family} {message}"
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family", ["gamma", "nilradical", "omega"])
+    def test_residue_labels_parse_as_ints(self, family):
+        text = '{"family": "%s", "vertices": ["007", 5, "-3", " 4"], "edges": []}' % family
+        g, _ = graph_from_json(text)
+        assert g.labels == (Residue(7), Residue(5), Residue(-3), Residue(4))
 
 
 def test_dot_output_gamma_16():
@@ -215,3 +256,34 @@ class TestPartitionSerialization:
         full = '{"R": ["3", "5", "6", "9", "10", "12"], "B": []}'
         with pytest.raises(PartitionError):
             partition_from_json(full, g, GraphFamily.GAMMA)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"R": ["3", "5", "3"], "B": ["6", "9", "10", "12"]}', "vertex 3 is listed twice"),
+        ('{"R": ["5", "10"], "B": ["3", "6", "9", "012", "12"]}', "vertex 12 is listed twice"),
+        ('{"R": ["5", "10", 5], "B": ["3", "6", "9", "12"]}', "vertex 5 is listed twice"),
+        ('{"R": ["3"], "B": ["5"]}',
+         "partition covers 2 of 6 vertices; every vertex must appear exactly once"),
+        ('{"R": ["5", "10"], "B": ["3", "6", "9"]}',
+         "partition covers 5 of 6 vertices; every vertex must appear exactly once"),
+        ('{"R": ["3", "7"], "B": ["5"]}', "unknown vertex label '7'"),
+        ('{"R": ["5", "10"], "B": ["3", "6", "9", "12", "15"]}', "unknown vertex label '15'"),
+        ('{"R": ["5", "10"], "B": ["3", "6", "9", "(3,5)"]}',
+         "family gamma has residue labels, got '(3,5)'"),
+        ('{"R": ["5", "10", "x"], "B": ["3", "6", "9", "12"]}', "cannot parse vertex label 'x'"),
+        ('{"R": [5.0], "B": ["3"]}', "cannot parse vertex label '5.0'"),
+        ('{"R": ["5", "10", null], "B": ["3", "6", "9", "12"]}',
+         "cannot parse vertex label 'None'"),
+    ])
+    def test_bad_entry_message(self, text, message):
+        with pytest.raises(FormatError) as exc:
+            partition_from_json(text, gamma(15), GraphFamily.GAMMA)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text", [
+        '{"R": ["05", "10"], "B": ["3", "6", "9", "12"]}',
+        '{"R": [5, 10], "B": ["3", "6", "9", "12"]}',
+        '{"R": ["10", "5"], "B": ["12", "9", "6", "3"]}',
+    ])
+    def test_entries_need_not_be_canonical_or_ordered(self, text):
+        back = partition_from_json(text, gamma(15), GraphFamily.GAMMA)
+        assert back == vce_squarefree(15)

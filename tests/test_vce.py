@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_bipartitions, complete_graph, random_graph
+from helpers import all_bipartitions, complete_graph, random_graph, ref_tallies
 from znvce import (
     Bipartition,
     DomainError,
@@ -11,6 +11,7 @@ from znvce import (
     PartitionVerdict,
     Residue,
     Verdict,
+    build_family,
     check_bipartition,
     gamma,
     is_vce,
@@ -152,6 +153,33 @@ def test_report_verdict_matches_tallies():
             assert rep.partition_verdict is PartitionVerdict.NEITHER
         assert rep.witnesses == tuple(
             t.vertex for t in rep.tallies if t.verdict is not Verdict.VERY_COST_EFFECTIVE)
+
+
+@pytest.mark.parametrize("n, family", [
+    (15, "gamma"), (60, "gamma"), (72, "nilradical"), (90, "omega"),
+    (21, "line-of-gamma"), (20, "total-of-gamma"),
+])
+def test_tallies_match_the_reference(n, family):
+    g = build_family(n, family)
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        in_b = np.arange(g.n_vertices) == 0
+        in_b ^= rng.random(g.n_vertices) < 0.5
+        part = Bipartition(in_b)
+        rep = check_bipartition(g, part)
+        assert rep.tallies == ref_tallies(g, part)
+        assert [t.verdict for t in rep.tallies] == rep.vertex_verdicts()
+        assert rep.inside.tolist() == [t.inside for t in rep.tallies]
+        assert rep.outside.tolist() == [t.outside for t in rep.tallies]
+
+
+def test_report_arrays_are_read_only_and_tallies_cached():
+    g = gamma(15)
+    rep = check_bipartition(g, mult_split(g, 3))
+    for arr in (rep.inside, rep.outside):
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert rep.tallies is rep.tallies
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000), st.integers(0, 10_000))
