@@ -3,7 +3,8 @@
 Builds the zero-divisor graph and its nilpotent, non-nilpotent, line, and
 total variants; constructs an explicit very-cost-effective bipartition for
 each supported modulus shape; and verifies or refutes very-cost-effectiveness
-with a checker, an exhaustive search oracle, and obstruction certificates.
+with a checker, an exhaustive search oracle, an exact search over twin
+classes, and obstruction certificates.
 """
 from types import ModuleType as _ModuleType
 
@@ -62,8 +63,10 @@ from .search import (
     SearchOutcome,
     SearchStatus,
     brute_force,
+    class_search,
     isolated_obstruction,
     local_search,
+    twin_classes,
 )
 from .serialize import (
     graph_from_json,

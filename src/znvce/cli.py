@@ -40,7 +40,8 @@ def _side_lines(g: LabeledGraph, part: Bipartition) -> list[str]:
 
 def _render_certificate(cert: Certificate | None) -> tuple[str, int]:
     if cert is None:
-        return "unknown: no construction applies and the graph exceeds the exhaustive cap\n", 2
+        return ("unknown: no construction applies, the graph exceeds the exhaustive cap, "
+                "and the twin-class search within 2^(cap-1) vectors found no partition\n"), 2
     if isinstance(cert, Exists):
         lines = _side_lines(cert.graph, cert.partition) + [
             "verdict: VeryCostEffective",
@@ -73,7 +74,7 @@ def cmd_check(graph_path: str, partition_path: str) -> tuple[str, int]:
     except (FormatError, PartitionError) as exc:
         return f"error: {exc}\n", 3
     report = check_bipartition(g, part)
-    names = [lab.render() for lab in g.labels]
+    names = g.names()
     lines = map("{} [{}]: inside {} outside {} {}\n".format,
                 names, map("RB".__getitem__, part.in_b.tolist()),
                 report.inside.tolist(), report.outside.tolist(),
@@ -178,8 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct", help="run the applicable construction and certify")
     c.add_argument("n", type=int)
     c.add_argument("--family", choices=_FAMILY_CHOICES, default="gamma")
-    c.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP,
-                   help="exhaustive-search vertex cap for fallback routing")
+    cap_help = ("vertex cap of the exhaustive fallback; past it, the twin-class "
+                "search examines at most 2^(cap-1) vectors")
+    c.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help=cap_help)
 
     k = sub.add_parser("check", help="verify a partition file against a graph file")
     k.add_argument("graph", help="graph JSON path")
@@ -199,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("n_min", type=int)
     v.add_argument("n_max", type=int)
     v.add_argument("--families", nargs="+", choices=_FAMILY_CHOICES)
-    v.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
+    v.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help=cap_help)
     v.add_argument("--out", help="write CSV to a file instead of stdout")
 
     return p

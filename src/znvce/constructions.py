@@ -31,7 +31,13 @@ from .graphs import (
     total_graph,
 )
 from .rings import ModulusShape, ShapeKind, classify, factorize, is_prime
-from .search import DEFAULT_VERTEX_CAP, SearchStatus, brute_force, isolated_obstruction
+from .search import (
+    DEFAULT_VERTEX_CAP,
+    SearchStatus,
+    brute_force,
+    class_search,
+    isolated_obstruction,
+)
 from .vce import Bipartition, is_vce
 
 
@@ -294,9 +300,14 @@ def _route(shape: ModulusShape, family: GraphFamily) -> _Route | None:
 
 def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, *,
              graph: LabeledGraph | None = None) -> Certificate | None:
-    """Certificate for (n, family): a construction when one applies, otherwise
-    the isolated-vertex obstruction or exhaustive search. None means the shape
-    is unhandled and the graph is too large to settle exhaustively.
+    """Certificate for (n, family), tried in this order: a construction when
+    one applies, the isolated-vertex obstruction, `brute_force` within
+    `vertex_cap` vertices, and past the cap `class_search` over the twin
+    classes, with the budget `brute_force` has at the cap, 2^(vertex_cap - 1)
+    vectors. None means the shape is unhandled, the graph is over the cap, and
+    the class search found no partition: either its class space is over the
+    budget, or it proved that none exists. That proof stays None for now,
+    because nothing outside the search recounts a class-count witness yet.
 
     `graph` is `build_family(n, family)` when the caller has built it already;
     it is not rebuilt. A partition is still verified against it."""
@@ -313,8 +324,8 @@ def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, 
     if v is not None:
         return NotVce(g, IsolatedVertex(v, g.labels[v]))
     out = brute_force(g, vertex_cap, isolated_shortcut=False)
-    if out.status is SearchStatus.FOUND:
-        return Exists(g, out.partition, source=None)
     if out.status is SearchStatus.NONE_EXISTS:
         return NotVce(g, ExhaustedSearch(out.partitions_examined))
-    return None
+    if out.status is SearchStatus.INCONCLUSIVE:
+        out = class_search(g, 1 << (vertex_cap - 1) if vertex_cap > 0 else 0)
+    return Exists(g, out.partition, source=None) if out.status is SearchStatus.FOUND else None

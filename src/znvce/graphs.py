@@ -67,7 +67,7 @@ class LabeledGraph:
     records the n the graph derives from and survives the line/total transforms.
     """
 
-    __slots__ = ("labels", "adj", "modulus", "_deg", "_id_of")
+    __slots__ = ("labels", "adj", "modulus", "_deg", "_id_of", "_names")
 
     def __init__(self, labels: Iterable[VertexLabel], adj, modulus: int | None = None):
         self._init(labels, np.array(adj, dtype=bool), modulus)
@@ -100,6 +100,7 @@ class LabeledGraph:
         deg = a.sum(axis=1, dtype=np.int32).astype(np.int64)
         deg.setflags(write=False)
         self._deg = deg
+        self._names: tuple[str, ...] | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -127,6 +128,12 @@ class LabeledGraph:
 
     def id_of(self, label: VertexLabel) -> int:
         return self._id_of[label]
+
+    def names(self) -> tuple[str, ...]:
+        """Every label rendered, by vertex id; rendered on first use only."""
+        if self._names is None:
+            self._names = tuple([lab.render() for lab in self.labels])
+        return self._names
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):

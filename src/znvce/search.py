@@ -1,9 +1,12 @@
 """Ground truth for very-cost-effective existence: exhaustive enumeration,
-the isolated-vertex obstruction, and a greedy local-search heuristic."""
+the exact search over twin classes, the isolated-vertex obstruction, and a
+greedy local-search heuristic."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from math import prod
 from time import perf_counter
 
 import numpy as np
@@ -18,6 +21,11 @@ DEFAULT_VERTEX_CAP = 26
 # walked _HI_ROWS values at a time: blocks of 2^14 candidates were the fastest
 # of 2^12..2^18 tried (2-core Xeon); masks are int64, so at most _MAX_FREE bits
 _LO_BITS, _HI_ROWS, _MAX_FREE = 12, 4, 62
+
+# twin_classes hashes rows, and class_search checks candidates, in blocks
+# of at most _BLOCK_BYTES per array; class_search tabulates the vectors of
+# its low classes up to _LO_VECTORS of them
+_BLOCK_BYTES, _LO_VECTORS = 1 << 18, 1 << 10
 
 
 class SearchStatus(Enum):
@@ -198,3 +206,219 @@ def local_search(
             last = v
     return SearchOutcome(SearchStatus.INCONCLUSIVE, None, examined, perf_counter() - t0,
                          reason="restart and step budget exhausted")
+
+
+@lru_cache(maxsize=64)
+def _hash_weights(nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed pseudo-random int64 weights for graphs of up to 8 * nb vertices:
+    one per byte column of a packed adjacency (the splitmix64 mix of the
+    column number), and one per vertex, its column's weight times its bit."""
+    z = np.arange(1, nb + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    c = (z ^ (z >> np.uint64(31))).view(np.int64)
+    w = (c[:, None] * (128 >> np.arange(8))).ravel()
+    c.setflags(write=False)
+    w.setflags(write=False)
+    return c, w
+
+
+def _slot_rows(packed: np.ndarray, slots: np.ndarray, nv: int) -> np.ndarray:
+    """Packed rows of the vertices slots % nv; a slot of nv or more stands
+    for the closed neighbourhood, so its vertex's own bit is set."""
+    v = slots % nv
+    rows = packed[v]
+    closed = np.flatnonzero(slots >= nv)
+    rows[closed, v[closed] // 8] |= (128 >> v[closed] % 8).astype(np.uint8)
+    return rows
+
+
+def _hash_runs(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(packed rows, slots sorted by hash, whether each starts a run of equal
+    hashes). Slot v < |V| holds the open hash of v, slot |V| + v its closed
+    hash, and ties keep slot order."""
+    nv = adj.shape[0]
+    packed = np.packbits(adj, axis=1)
+    c, w = _hash_weights(packed.shape[1])
+    block = max(1, _BLOCK_BYTES // (8 * max(packed.shape[1], 1)))
+    keys = np.empty(2 * nv, dtype=np.int64)
+    h = keys[:nv]
+    for i in range(0, nv, block):
+        h[i:i + block] = packed[i:i + block].astype(np.int64) @ c
+    np.add(h, w[:nv], out=keys[nv:])
+    slots = np.argsort(keys, kind="stable")
+    ordered = keys[slots]
+    first = np.ones(2 * nv, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return packed, slots, first
+
+
+def _confirmed_classes(packed: np.ndarray, slots: np.ndarray,
+                       first: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """twin_classes from the hash runs, plus each class's smallest vertex.
+    Every slot is compared with the first slot of its run, and the slots
+    that differ form the runs of the next round, so that equal hashes alone
+    never join two vertices."""
+    nv = packed.shape[0]
+    # every vertex points at the smallest member of its class
+    rep = np.arange(nv)
+    is_clique = np.zeros(nv, dtype=bool)
+    run = np.cumsum(first)
+    while not first.all():
+        lead = slots[first][np.cumsum(first) - 1]
+        a, b, run = slots[~first], lead[~first], run[~first]
+        rows = _slot_rows(packed, np.concatenate((a, b)), nv)
+        same = (rows[:a.size] == rows[a.size:]).all(axis=1)
+        rep[a[same] % nv] = b[same] % nv
+        is_clique[b[same & (b >= nv)] - nv] = True
+        slots, run = a[~same], run[~same]
+        first = np.concatenate(([True], run[1:] != run[:-1]))[:run.size]
+    reps = np.flatnonzero(rep == np.arange(nv))
+    return np.searchsorted(reps, rep), is_clique[reps], reps
+
+
+def twin_classes(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices with equal neighbourhoods, as (class id per vertex, per class
+    whether it is a clique).
+
+    Independent classes are open twins, N(u) = N(v); clique classes are
+    closed twins, N[u] = N[v]. No vertex has twins of both kinds, and no
+    open neighbourhood equals a closed one. A vertex with no twin is a class
+    of its own (not a clique). Classes are numbered by their smallest vertex.
+
+    Rows are packed to bytes (vertex u is bit 128 >> u % 8 of byte u // 8)
+    and hashed by one int64 mat-vec against a weight per byte column, cast a
+    block of rows at a time. With w[u] its byte's weight times its bit, the
+    hash h[v] is the wrapping sum of w over N(v), and h + w is the same sum
+    over N[v]. One sort of both hashes groups the candidates, and every
+    member is confirmed by comparing packed rows.
+    """
+    return _confirmed_classes(*_hash_runs(g.adj))[:2]
+
+
+def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
+    """Exact existence search over the twin classes of `g`.
+
+    A class-i vertex with t B-neighbours and degree D passes on side B when
+    2t < D and on side R when 2t > D. Twins share t up to their own side, so
+    an independent class lies wholly on one side and a clique class splits
+    only when 2t = D + 1 for its B members. The search enumerates the vectors
+    of per-class B-counts b_i, 0 or m_i for an independent class of m_i
+    members and 0..m_i for a clique, in mixed-radix order with class 0 the
+    lowest digit. The first very-cost-effective vector puts the b_i
+    smallest ids of each class on side B; partitions_examined counts the
+    vectors up to and including it, or all of them. A class space over
+    max_vectors is Inconclusive before anything is enumerated, and before
+    the classes are confirmed when their hashes alone show it; one over
+    2^62 within the budget is a DomainError.
+    """
+    t0 = perf_counter()
+    nv = g.n_vertices
+    if nv < 2:
+        return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0,
+                             reason="no valid bipartition on fewer than two vertices")
+    runs = _hash_runs(g.adj)
+    # a class of m vertices fills one run with the hashes of its own kind
+    # and m runs with those of the other, so the classes number the runs
+    # minus |V|; a hash collision only merges runs, so that is a lower bound
+    fewest = max(0, int(runs[2].sum()) - nv)
+    if 1 << fewest > max_vectors:
+        return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
+                             reason=f"at least {fewest} twin classes span at least "
+                                    f"2^{fewest} B-count vectors, over the budget of {max_vectors}")
+    cls, clique, reps = _confirmed_classes(*runs)
+    k = clique.size
+    size = np.bincount(cls, minlength=k)
+    radix = np.where(clique, size + 1, 2)
+    space = prod(radix.tolist())
+    if space > max_vectors:
+        return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
+                             reason=f"{k} twin classes span {space} B-count vectors, "
+                                    f"over the budget of {max_vectors}")
+    if space > 1 << _MAX_FREE:
+        raise DomainError(f"class search needs an int64 index per vector; {space} "
+                          f"vectors exceeds the limit of 2^{_MAX_FREE}")
+    # classes are complete or empty to each other, so one member's row speaks
+    # for its class
+    hit = _first_vce_vector(g.adj[np.ix_(reps, reps)] | np.diag(clique), size, clique, radix)
+    if hit is None:
+        return SearchOutcome(SearchStatus.NONE_EXISTS, None, space, perf_counter() - t0,
+                             reason="class space exhausted")
+    index, b = hit
+    return SearchOutcome(SearchStatus.FOUND, _expand(cls, b), index + 1, perf_counter() - t0)
+
+
+def _counts(idx: np.ndarray, radix: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """(classes, len(idx)) B-counts of the vectors numbered idx: the digit of
+    each class, lowest class first, times its step."""
+    strides = np.cumprod(np.concatenate(([1], radix[:-1])))
+    digits = idx[None, :] // strides[:, None] % radix[:, None]
+    return digits.astype(step.dtype) * step[:, None]
+
+
+def _within(lo: np.ndarray, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per candidate, whether lo <= x <= hi on every class row (axis 0)."""
+    return np.logical_and.reduce((lo <= x) & (x <= hi), axis=0)
+
+
+def _first_vce_vector(m: np.ndarray, size: np.ndarray,
+                      clique: np.ndarray, radix: np.ndarray) -> tuple[int, np.ndarray] | None:
+    """Index and B-counts of the first very-cost-effective vector, or None.
+
+    m is the class adjacency with the clique classes' diagonal set, so that
+    S = m @ b counts a class vertex's B-neighbours, itself included when it
+    is a B-side clique vertex, and its degree is D = m @ size - clique. Given
+    b_i, class i passes when S_i lies in a window: S_i > D_i / 2 for its R
+    members (b_i < size_i), S_i - clique_i < D_i / 2 for its B members
+    (b_i > 0). As in brute_force, the low classes' vectors are tabulated once
+    (S over every class, windows over their own) and the high classes' are
+    walked a block at a time; a candidate passes when each side's S lies in
+    the other side's windows. The all-R and all-B vectors never pass (they
+    would need D < 0), so scanning them changes no outcome.
+    """
+    # int32 counts run about 1.5x faster than int64 ones here; |V| fits
+    k = size.size
+    m, size = m.astype(np.int32), size.astype(np.int32)
+    step = np.where(clique, 1, size)
+    deg = m @ size - clique
+    # S never leaves 0..|V|, so these ends leave a window open on that side
+    lo_end, hi_end = deg // 2 + 1, (deg - 1) // 2 + clique
+    open_lo, open_hi = 0, int(size.sum())
+
+    def windows(b: np.ndarray, part: slice, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # where the other side's share of S must lie, given this side's share s
+        lo = np.where(b < size[part, None], lo_end[part, None], open_lo) - s[part]
+        hi = np.where(b > 0, hi_end[part, None], open_hi) - s[part]
+        return lo, hi
+
+    n_lo_cls = max(1, int(np.searchsorted(np.cumprod(radix), _LO_VECTORS, side="right")))
+    lo, hi = slice(0, n_lo_cls), slice(n_lo_cls, k)
+    n_lo, n_hi = prod(radix[lo].tolist()), prod(radix[hi].tolist())
+    b_lo = _counts(np.arange(n_lo), radix[lo], step[lo])
+    s_lo = m[:, lo] @ b_lo
+    lo_min, lo_max = windows(b_lo, lo, s_lo)
+    # blocks of high vectors double from one, so that an early hit is cheap,
+    # up to _BLOCK_BYTES per (class, candidate) array
+    h0, rows, max_rows = 0, 1, max(1, _BLOCK_BYTES // (n_lo * k))
+    while h0 < n_hi:
+        b_hi = _counts(np.arange(h0, min(h0 + rows, n_hi)), radix[hi], step[hi])
+        s_hi = m[:, hi] @ b_hi
+        hi_min, hi_max = windows(b_hi, hi, s_hi)
+        # ok[h, l] over candidates (h0 + h) * n_lo + l
+        ok = (_within(lo_min[:, None, :], s_hi[lo, :, None], lo_max[:, None, :])
+              & _within(hi_min[:, :, None], s_lo[hi, None, :], hi_max[:, :, None]))
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            h, l = divmod(int(hit[0]), n_lo)
+            return h0 * n_lo + int(hit[0]), np.concatenate([b_lo[:, l], b_hi[:, h]])
+        h0, rows = h0 + rows, min(2 * rows, max_rows)
+    return None
+
+
+def _expand(cls: np.ndarray, b: np.ndarray) -> Bipartition:
+    """Side B holds the b[c] smallest ids of every class c."""
+    order = np.argsort(cls, kind="stable")
+    counts = np.bincount(cls, minlength=b.size)
+    rank = np.empty_like(cls)
+    rank[order] = np.arange(cls.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return Bipartition(rank < b[cls])

@@ -85,12 +85,20 @@ def graph_to_json(g: LabeledGraph, family: GraphFamily) -> str:
     return json.dumps(graph_to_json_obj(g, family))
 
 
-def graph_from_json(text: str) -> tuple[LabeledGraph, GraphFamily]:
+def _load(text: str, what: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise FormatError(f"graph file is not valid JSON: {exc}") from None
-    return graph_from_json_obj(obj)
+        raise FormatError(f"{what} file is not valid JSON: {exc}") from None
+    except ValueError:
+        # Python's int-string limit, 4300 digits by default
+        raise FormatError(f"{what} file holds an integer too long to read") from None
+    except RecursionError:
+        raise FormatError(f"{what} file nests lists or objects too deeply to read") from None
+
+
+def graph_from_json(text: str) -> tuple[LabeledGraph, GraphFamily]:
+    return graph_from_json_obj(_load(text, "graph"))
 
 
 def graph_from_json_obj(obj) -> tuple[LabeledGraph, GraphFamily]:
@@ -184,10 +192,7 @@ def partition_from_json(text: str, g: LabeledGraph, family: GraphFamily) -> Bipa
     Raises FormatError for unparseable input, unknown labels, or a vertex
     listed twice or missing; PartitionError (from Bipartition) for empty sides.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"partition file is not valid JSON: {exc}") from None
+    obj = _load(text, "partition")
     if not isinstance(obj, dict) or "R" not in obj or "B" not in obj:
         raise FormatError('partition JSON must be an object with "R" and "B" lists')
     for side in ("R", "B"):
@@ -198,7 +203,7 @@ def partition_from_json(text: str, g: LabeledGraph, family: GraphFamily) -> Bipa
     # in bulk; anything else takes the walk below, which names a bad entry
     r, b = obj["R"], obj["B"]
     if set(map(type, r)) | set(map(type, b)) <= {str}:
-        ids = dict(zip([lab.render() for lab in g.labels], range(g.n_vertices)))
+        ids = dict(zip(g.names(), range(g.n_vertices)))
         try:
             r_ids, b_ids = list(map(ids.__getitem__, r)), list(map(ids.__getitem__, b))
         except KeyError:

@@ -1,0 +1,242 @@
+"""The twin-class quotient: twin_classes and the exact class_search."""
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import complete_graph, random_graph, ref_has_vce
+from znvce import (
+    DomainError,
+    GraphFamily,
+    LabeledGraph,
+    Residue,
+    SearchStatus,
+    brute_force,
+    build_family,
+    class_search,
+    gamma,
+    is_vce,
+    nilradical_graph,
+    twin_classes,
+)
+from znvce import search
+
+
+def graph(nv: int, edges) -> LabeledGraph:
+    adj = np.zeros((nv, nv), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
+
+
+def ref_twin_classes(adj: np.ndarray) -> tuple[list[int], list[bool]]:
+    """Classes straight from the definition, pair by pair: u and v are twins
+    when their open or their closed neighbourhoods are equal. Classes are
+    numbered by smallest member."""
+    nv = adj.shape[0]
+    closed = adj | np.eye(nv, dtype=bool)
+    cls = [-1] * nv
+    kinds = []
+    for u in range(nv):
+        if cls[u] >= 0:
+            continue
+        cls[u] = len(kinds)
+        kind = False
+        for v in range(u + 1, nv):
+            if (adj[u] == adj[v]).all() or (closed[u] == closed[v]).all():
+                cls[v] = cls[u]
+                kind = bool(adj[u, v])
+        kinds.append(kind)
+    return cls, kinds
+
+
+# 0, 1, 2 see only {3, 4}: open twins. 3 and 4 see each other, 0..2 and 5:
+# closed twins. 5 and 6 have no twin.
+PLANTED = graph(7, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 5), (4, 5),
+                    (5, 6)])
+
+
+class TestTwinClasses:
+    def test_planted_open_and_closed_twins(self):
+        cls, clique = twin_classes(PLANTED)
+        assert cls.tolist() == [0, 0, 0, 1, 1, 2, 3]
+        assert clique.tolist() == [False, True, False, False]
+
+    def test_complete_and_empty_graphs_are_one_class(self):
+        for g, kind in ((complete_graph(5), True), (graph(4, []), False)):
+            cls, clique = twin_classes(g)
+            assert cls.tolist() == [0] * g.n_vertices and clique.tolist() == [kind]
+
+    def test_forced_hash_collision_never_merges_classes(self, monkeypatch):
+        # with zero weights every open and every closed hash is 0, so every
+        # vertex collides with every other and only the row comparison splits
+        def zero_weights(nb):
+            return np.zeros(nb, dtype=np.int64), np.zeros(8 * nb, dtype=np.int64)
+
+        monkeypatch.setattr(search, "_hash_weights", zero_weights)
+        cycle = graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        cls, clique = twin_classes(cycle)
+        assert cls.tolist() == [0, 1, 0, 1] and clique.tolist() == [False, False]
+        path = graph(4, [(0, 1), (1, 2), (2, 3)])
+        cls, clique = twin_classes(path)
+        assert cls.tolist() == [0, 1, 2, 3] and not clique.any()
+        cls, clique = twin_classes(PLANTED)
+        assert cls.tolist() == [0, 0, 0, 1, 1, 2, 3]
+        assert clique.tolist() == [False, True, False, False]
+
+    @pytest.mark.parametrize("n", [12, 30, 48, 64, 100, 120])
+    def test_matches_the_definition_on_residue_graphs(self, n):
+        for fam in (GraphFamily.GAMMA, GraphFamily.LINE_OF_GAMMA):
+            g = build_family(n, fam)
+            cls, clique = twin_classes(g)
+            ref_cls, ref_kinds = ref_twin_classes(g.adj)
+            assert cls.tolist() == ref_cls and clique.tolist() == ref_kinds
+
+
+def ref_first_vector(g: LabeledGraph) -> tuple[int, np.ndarray | None]:
+    """class_search's answer by plain enumeration: the 1-based position of
+    the first B-count vector (class 0 the fastest digit) whose partition,
+    the smallest ids of each class on side B, passes the definition, with
+    that partition's side-B mask; or the size of the space and None."""
+    cls, kinds = ref_twin_classes(g.adj)
+    cls = np.array(cls)
+    size = np.bincount(cls)
+    options = [range(m + 1) if clique else (0, m) for m, clique in zip(size, kinds)]
+    rank = np.array([int(np.count_nonzero(cls[:v] == cls[v])) for v in range(g.n_vertices)])
+    deg = g.adj.sum(axis=1)
+    pos = 0
+    for pos, digits in enumerate(product(*options[::-1]), 1):
+        in_b = rank < np.array(digits[::-1])[cls]
+        nb_b = g.adj[:, in_b].sum(axis=1)
+        inside = np.where(in_b, nb_b, deg - nb_b)
+        if in_b.any() and not in_b.all() and (2 * inside < deg).all():
+            return pos, in_b
+    return pos, None
+
+
+def small_residue_graphs():
+    for n in range(2, 121):
+        for fam in (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA):
+            g = build_family(n, fam)
+            if 2 <= g.n_vertices <= 26:
+                yield n, fam, g
+
+
+class TestClassSearch:
+    def test_agrees_with_brute_force_within_the_cap(self):
+        seen = 0
+        for n, fam, g in small_residue_graphs():
+            out, ref = class_search(g, 1 << 25), brute_force(g)
+            assert out.status is ref.status, (n, fam)
+            if out.status is SearchStatus.FOUND:
+                assert is_vce(g, out.partition), (n, fam)
+            seen += 1
+        assert seen == 113
+
+    def test_b_side_takes_the_smallest_ids_of_each_class(self):
+        g = gamma(48)
+        out = class_search(g, 1 << 25)
+        assert out.status is SearchStatus.FOUND and is_vce(g, out.partition)
+        cls, _ = twin_classes(g)
+        for c in range(cls.max() + 1):
+            sides = out.partition.in_b[cls == c]
+            assert (sides[:-1] >= sides[1:]).all()
+
+    @pytest.mark.parametrize("n, family", [(48, "gamma"), (120, "gamma"), (240, "gamma"),
+                                           (288, "gamma"), (64, "nilradical"), (90, "omega")])
+    def test_first_hit_matches_a_plain_enumeration(self, n, family):
+        # gamma(240) and gamma(288) span 393 216 and 552 960 vectors and find
+        # their first partition at 1792 and 5488, past the first 1024 vectors
+        g = build_family(n, family)
+        pos, in_b = ref_first_vector(g)
+        out = class_search(g, 1 << 25)
+        assert out.partitions_examined == pos
+        if in_b is None:
+            assert out.status is SearchStatus.NONE_EXISTS
+        else:
+            assert out.status is SearchStatus.FOUND
+            assert out.partition.in_b.tolist() == in_b.tolist()
+
+    def test_found_count_is_the_position_of_the_hit(self):
+        # K4 is one clique class: vectors b = 0, 1, 2, and b = 2 is the first hit
+        out = class_search(complete_graph(4), 10)
+        assert out.status is SearchStatus.FOUND and out.partitions_examined == 3
+        assert out.partition.b_ids.tolist() == [0, 1]
+        out = class_search(complete_graph(5), 10)
+        assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 6
+        assert out.reason == "class space exhausted"
+
+    def test_fewer_than_two_vertices(self):
+        out = class_search(gamma(4), 10)
+        assert out.status is SearchStatus.NONE_EXISTS and "fewer than two" in out.reason
+
+    def test_over_budget_is_inconclusive_before_enumerating(self):
+        # 70 vertices without twins span 2^70 vectors: enumerating any real
+        # share of them would never return
+        g = random_graph(70, seed=0)
+        assert twin_classes(g)[1].size == 70
+        out = class_search(g, 1 << 69)
+        assert out.status is SearchStatus.INCONCLUSIVE and out.partitions_examined == 0
+        assert out.reason == (f"at least 70 twin classes span at least 2^70 B-count "
+                              f"vectors, over the budget of {1 << 69}")
+        with pytest.raises(DomainError, match="exceeds the limit of 2\\^62"):
+            class_search(g, 1 << 70)
+
+    def test_budget_is_inclusive(self):
+        g = gamma(64)  # 120 vectors
+        out = class_search(g, 119)
+        assert out.status is SearchStatus.INCONCLUSIVE and out.partitions_examined == 0
+        assert out.reason == "5 twin classes span 120 B-count vectors, over the budget of 119"
+        out = class_search(g, 120)
+        assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 120
+        # 20 vertices without twins: the count from the hashes alone is exact
+        g = random_graph(20, seed=1)
+        assert twin_classes(g)[1].size == 20
+        assert class_search(g, 1 << 20).status is not SearchStatus.INCONCLUSIVE
+        out = class_search(g, (1 << 20) - 1)
+        assert out.status is SearchStatus.INCONCLUSIVE
+        assert out.reason.startswith("at least 20 twin classes span at least 2^20 ")
+
+    def test_nilradical_64_has_none(self):
+        out = class_search(nilradical_graph(64), 1 << 25)
+        assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 120
+
+    def test_gamma_64_has_none_by_brute_force_too(self):
+        # 31 vertices: 2^30 masks, about 15 s
+        g = gamma(64)
+        assert class_search(g, 1 << 25).status is SearchStatus.NONE_EXISTS
+        assert brute_force(g, vertex_cap=31).status is SearchStatus.NONE_EXISTS
+
+
+@st.composite
+def planted_twin_graphs(draw):
+    """Random graphs over up to 6 planted classes of 1..3 vertices each,
+    each class a clique or independent, classes joined completely or not at
+    all, at most 12 vertices in all."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=6))
+    cliques = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    k = len(sizes)
+    joins = draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k))
+    of = np.repeat(np.arange(k), sizes)
+    join = np.array(joins).reshape(k, k)
+    join = np.triu(join, 1) | np.triu(join, 1).T | np.diag(cliques)
+    adj = join[np.ix_(of, of)]
+    np.fill_diagonal(adj, False)
+    perm = np.array(draw(st.permutations(range(of.size))))
+    return LabeledGraph([Residue(i + 1) for i in range(of.size)], adj[np.ix_(perm, perm)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_twin_graphs())
+def test_class_search_matches_full_enumeration_on_planted_twins(g):
+    cls, clique = twin_classes(g)
+    assert (cls.tolist(), clique.tolist()) == ref_twin_classes(g.adj)
+    if g.n_vertices < 2:
+        return
+    out = class_search(g, 1 << 25)
+    assert out.status in (SearchStatus.FOUND, SearchStatus.NONE_EXISTS)
+    assert (out.status is SearchStatus.FOUND) == ref_has_vce(g.adj)
+    if out.status is SearchStatus.FOUND:
+        assert is_vce(g, out.partition)

@@ -92,9 +92,14 @@ class TestConstruct:
         assert text.startswith("error:")
 
     def test_unknown_beyond_cap(self):
-        text, code = cmd_construct(100, GraphFamily.GAMMA)
+        text, code = cmd_construct(36, GraphFamily.TOTAL_OF_GAMMA)
         assert code == 2
         assert text.startswith("unknown:")
+
+    def test_class_search_beyond_cap(self):
+        text, code = cmd_construct(100, GraphFamily.GAMMA)
+        assert code == 0
+        assert text.splitlines()[-2:] == ["verdict: VeryCostEffective", "source: Search"]
 
 
 class TestCheck:
@@ -129,6 +134,34 @@ class TestCheck:
         pp = write(tmp_path / "p.json", GOOD_PARTITION)
         text, code = cmd_check(gp, pp)
         assert code == 3 and "not valid JSON" in text
+
+    @pytest.mark.parametrize("which", ["graph", "partition"])
+    def test_integer_literal_past_the_int_string_limit(self, tmp_path, capsys, which):
+        # json.loads refuses integer literals of more than 4300 digits
+        huge = "9" * 5000
+        graph = GAMMA_15_JSON.replace("[4, 5]", f"[4, {huge}]")
+        partition = GOOD_PARTITION.replace('"12"', huge)
+        assert graph != GAMMA_15_JSON and partition != GOOD_PARTITION
+        gp = write(tmp_path / "g.json", graph if which == "graph" else GAMMA_15_JSON)
+        pp = write(tmp_path / "p.json", partition if which == "partition" else GOOD_PARTITION)
+        text, code = cmd_check(gp, pp)
+        assert code == 3
+        assert text == f"error: {which} file holds an integer too long to read\n"
+        assert main(["check", gp, pp]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == text
+
+    @pytest.mark.parametrize("which", ["graph", "partition"])
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys, which):
+        deep = "[" * 100_000 + "]" * 100_000
+        gp = write(tmp_path / "g.json", deep if which == "graph" else GAMMA_15_JSON)
+        pp = write(tmp_path / "p.json", deep if which == "partition" else GOOD_PARTITION)
+        text, code = cmd_check(gp, pp)
+        assert code == 3
+        assert text == f"error: {which} file nests lists or objects too deeply to read\n"
+        assert main(["check", gp, pp]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == text
 
     def test_vertex_listed_twice(self, tmp_path):
         gp = write(tmp_path / "g.json", GAMMA_15_JSON)
@@ -325,8 +358,12 @@ class TestSurvey:
         ]
 
     def test_unknown_row(self):
+        text = cmd_survey(36, 36, [GraphFamily.TOTAL_OF_GAMMA])
+        assert text.splitlines()[1] == "36,total-of-gamma,PSquaredQSquared,69,Unknown,"
+
+    def test_class_search_row(self):
         text = cmd_survey(100, 100, [GraphFamily.GAMMA])
-        assert text.splitlines()[1] == "100,gamma,PSquaredQSquared,59,Unknown,"
+        assert text.splitlines()[1] == "100,gamma,PSquaredQSquared,59,VCE-by-search,Search"
 
     def test_each_row_builds_its_graph_once(self, monkeypatch):
         built = []

@@ -346,10 +346,30 @@ class TestDispatch:
             dispatch(15, GraphFamily.NILRADICAL)
 
     def test_unknown_when_beyond_cap(self):
-        assert dispatch(100, GraphFamily.GAMMA) is None
+        # total-of-gamma(36): 69 vertices, no construction, no isolated vertex,
+        # and a twin-class space far over the budget
+        assert dispatch(36, GraphFamily.TOTAL_OF_GAMMA) is None
         # the same shape resolves once the graph fits under the cap
         assert dispatch(16, GraphFamily.GAMMA, vertex_cap=4) is None
         assert isinstance(dispatch(16, GraphFamily.GAMMA), NotVce)
+
+    @pytest.mark.parametrize("n", [48, 54, 56, 60, 72, 80, 84, 88, 90, 96, 100, 104, 108,
+                                   112, 120])
+    def test_class_search_past_the_cap(self, n):
+        cert = dispatch(n, GraphFamily.GAMMA)
+        assert isinstance(cert, Exists) and cert.source is None
+        assert cert.graph.n_vertices > 26 and is_vce(cert.graph, cert.partition)
+
+    def test_class_search_proof_of_none_stays_unknown(self):
+        # class_search proves both NotVce, but no certificate carries that yet
+        assert dispatch(64, GraphFamily.GAMMA) is None
+        assert dispatch(64, GraphFamily.NILRADICAL) is None
+
+    def test_cap_sets_the_class_budget(self):
+        # gamma(100) spans 800 class vectors: over 2^9, within 2^10
+        assert dispatch(100, GraphFamily.GAMMA, vertex_cap=10) is None
+        assert isinstance(dispatch(100, GraphFamily.GAMMA, vertex_cap=11), Exists)
+        assert dispatch(100, GraphFamily.GAMMA, vertex_cap=0) is None
 
     def test_accepts_family_value_strings(self):
         cert = dispatch(30, "gamma")
