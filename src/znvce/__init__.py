@@ -75,7 +75,6 @@ from .serialize import (
     parse_label,
     partition_from_json,
     partition_to_json,
-    render_label,
 )
 from .vce import (
     Bipartition,

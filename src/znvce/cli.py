@@ -11,7 +11,7 @@ from .constructions import Certificate, Exists, ExhaustedSearch, IsolatedVertex,
 from .errors import DomainError, FormatError, PartitionError
 from .graphs import GraphFamily, LabeledGraph, build_family
 from .rings import classify, factorize
-from .search import DEFAULT_VERTEX_CAP, SearchStatus, brute_force, local_search
+from .search import DEFAULT_VERTEX_CAP, SearchStatus, brute_force, class_search, local_search
 from .serialize import (
     graph_from_json,
     graph_to_dot,
@@ -107,7 +107,10 @@ def cmd_search(
         if local:
             out = local_search(g, max_restarts=restarts, max_steps=steps, rng_seed=seed)
         else:
+            # past the cap, the twin-class search with the budget dispatch gives it
             out = brute_force(g, vertex_cap=cap)
+            if out.status is SearchStatus.INCONCLUSIVE:
+                out = class_search(g, 1 << (cap - 1) if cap > 0 else 0)
     except OSError as exc:
         return f"error: {exc}\n", 2
     except (FormatError, DomainError) as exc:
@@ -191,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int)
     s.add_argument("--family", choices=_FAMILY_CHOICES, default="gamma")
     s.add_argument("--graph", help="graph JSON path (alternative to --n)")
-    s.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP)
+    s.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help=cap_help)
     s.add_argument("--local", action="store_true", help="hill climbing instead of exhaustive")
     s.add_argument("--seed", type=int, default=0, help="seed of the --local starts (>= 0)")
     s.add_argument("--restarts", type=int, default=32, help="--local random starts (>= 1)")

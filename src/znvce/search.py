@@ -27,6 +27,11 @@ _LO_BITS, _HI_ROWS, _MAX_FREE = 12, 4, 62
 # its low classes up to _LO_VECTORS of them
 _BLOCK_BYTES, _LO_VECTORS = 1 << 18, 1 << 10
 
+# a refuter node costs about as much as 500 masks of the kernel (2-core Xeon),
+# so a node budget of 1/2^_REFUTE_SHIFT of the masks left to scan, but at
+# least _REFUTE_MIN, costs a refuter that gives up about 3% of the scan
+_REFUTE_SHIFT, _REFUTE_MIN = 14, 64
+
 
 class SearchStatus(Enum):
     FOUND = "Found"
@@ -50,6 +55,19 @@ def isolated_obstruction(g: LabeledGraph) -> int | None:
     return int(deg0[0]) if deg0.size else None
 
 
+def _unsearched(g: LabeledGraph, t0: float, isolated_shortcut: bool) -> SearchOutcome | None:
+    """NoneExists with nothing examined when g has fewer than two vertices
+    or, with isolated_shortcut, an isolated vertex; otherwise None."""
+    if g.n_vertices < 2:
+        reason = "no valid bipartition on fewer than two vertices"
+    else:
+        v = isolated_obstruction(g) if isolated_shortcut else None
+        if v is None:
+            return None
+        reason = f"isolated vertex {g.labels[v].render()}"
+    return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0, reason=reason)
+
+
 def _bits(values: np.ndarray, width: int) -> np.ndarray:
     """(width, len(values)) int16 matrix: row i holds bit i of each value."""
     return ((values[None, :] >> np.arange(width)[:, None]) & 1).astype(np.int16)
@@ -62,6 +80,65 @@ def _all_negative(own: np.ndarray, other: np.ndarray, sign: np.ndarray) -> np.nd
     return np.logical_and.reduce(x < 0, axis=0)
 
 
+def _refutes(adj: np.ndarray, budget: int | None = None) -> bool:
+    """Whether a depth-first search over side assignments proves that no
+    bipartition of `adj` is very cost effective; False when it finds one or
+    tries more than `budget` assignments (None: no limit).
+
+    Swapping the sides keeps a bipartition very cost effective, so a vertex
+    of the largest degree is pinned to R. The next vertex is the unassigned
+    one with the most assigned neighbours, then the largest degree, tried
+    first on the side where it has fewer of them. Assigned-neighbour counts
+    per side are updated on each assignment. A branch dies once an assigned
+    vertex has 2 * same >= deg, which more assignments can only keep, or an
+    unassigned vertex would have it on both sides.
+    """
+    nv = adj.shape[0]
+    nbrs = [np.flatnonzero(row).tolist() for row in adj]
+    deg = [len(ns) for ns in nbrs]
+    side = [-1] * nv
+    count = ([0] * nv, [0] * nv)  # assigned neighbours on R, on B
+    nodes = 1  # the pinned vertex
+
+    def place(v: int, s: int) -> bool:
+        # assign v to side s; whether no vertex has failed yet
+        side[v] = s
+        same, other = count[s], count[1 - s]
+        for u in nbrs[v]:
+            same[u] += 1
+        ok = 2 * same[v] < deg[v]
+        for u in nbrs[v]:
+            if 2 * same[u] >= deg[u] and (side[u] == s or side[u] < 0 and 2 * other[u] >= deg[u]):
+                ok = False
+        return ok
+
+    def unplace(v: int, s: int) -> None:
+        side[v] = -1
+        for u in nbrs[v]:
+            count[s][u] -= 1
+
+    def completes(n_set: int) -> bool:
+        # whether the n_set assignments so far extend to a very-cost-effective
+        # bipartition, or the budget ran out; either way the search is over,
+        # so the state is not restored
+        nonlocal nodes
+        if n_set == nv:
+            return True
+        r, b = count
+        _, v = max(((r[u] + b[u]) * nv + deg[u], u) for u in range(nv) if side[u] < 0)
+        first = int(r[v] > b[v])
+        for s in (first, 1 - first):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                return True
+            if place(v, s) and completes(n_set + 1):
+                return True
+            unplace(v, s)
+        return False
+
+    return not (place(max(range(nv), key=deg.__getitem__), 0) and completes(1))
+
+
 def _first_vce_mask(adj: np.ndarray, pinned: int) -> int | None:
     """Smallest mask whose bipartition is very cost effective, or None.
 
@@ -70,6 +147,11 @@ def _first_vce_mask(adj: np.ndarray, pinned: int) -> int | None:
     on R, and margin m = 2|N(v) & B| - deg(v) = m_lo + m_hi split over the
     low and high mask bits. Rows whose side the low bits fix take s * m_lo
     from the low table and multiply m_hi by their sign; high rows the reverse.
+
+    A scan that reaches the first eighth of the high values without a hit
+    (from 2^17 masks up, where that is a block boundary) asks _refutes once,
+    with a node budget of 1/2^_REFUTE_SHIFT of the masks still to scan, and
+    stops there when it proves that no mask is very cost effective.
     """
     nv = adj.shape[0]
     a2 = 2 * adj.astype(np.int16)
@@ -83,7 +165,11 @@ def _first_vce_mask(adj: np.ndarray, pinned: int) -> int | None:
     s_lo = np.vstack([np.full((pinned, 1 << n_lo), -1, dtype=np.int16),
                       2 * _bits(np.arange(1 << n_lo), n_lo) - 1])
     own_lo = s_lo * m_lo[:split]
+    refute_at = (1 << n_hi) >> 3
     for h0 in range(0, 1 << n_hi, _HI_ROWS):
+        if h0 and h0 == refute_at and _refutes(
+                adj, max(_REFUTE_MIN, ((1 << n_hi) - h0) << n_lo >> _REFUTE_SHIFT)):
+            return None
         hi_bits = _bits(np.arange(h0, min(h0 + _HI_ROWS, 1 << n_hi)), n_hi)
         m_hi, s_hi = a2[:, split:] @ hi_bits, 2 * hi_bits - 1
         # ok[h, lo] over candidates (h0 + h, lo); with no high rows the second
@@ -117,17 +203,18 @@ def brute_force(
     costs one add, one sign multiply and one compare per vertex, and memory
     stays bounded whatever the cap. More than 62 free vertices is a
     DomainError, raised before anything is allocated.
+
+    A scan with no hit in its first eighth tries, once and with a bounded
+    budget, an exact depth-first refutation that prunes by neighbour counts.
+    So the count of a NoneExists outcome covers every mask, each one either
+    evaluated or ruled out by a neighbour-count bound; a refuter that gives
+    up leaves the scan to go on where it stopped.
     """
     t0 = perf_counter()
+    out = _unsearched(g, t0, isolated_shortcut)
+    if out is not None:
+        return out
     nv = g.n_vertices
-    if nv < 2:
-        return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0,
-                             reason="no valid bipartition on fewer than two vertices")
-    if isolated_shortcut:
-        v = isolated_obstruction(g)
-        if v is not None:
-            return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0,
-                                 reason=f"isolated vertex {g.labels[v].render()}")
     if nv > vertex_cap:
         return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
                              reason=f"{nv} vertices exceeds the exhaustive cap {vertex_cap}")
@@ -307,16 +394,17 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     members and 0..m_i for a clique, in mixed-radix order with class 0 the
     lowest digit. The first very-cost-effective vector puts the b_i
     smallest ids of each class on side B; partitions_examined counts the
-    vectors up to and including it, or all of them. A class space over
+    vectors up to and including it, or all of them. As in brute_force, an
+    isolated vertex is NoneExists with none examined. A class space over
     max_vectors is Inconclusive before anything is enumerated, and before
     the classes are confirmed when their hashes alone show it; one over
     2^62 within the budget is a DomainError.
     """
     t0 = perf_counter()
+    out = _unsearched(g, t0, isolated_shortcut=True)
+    if out is not None:
+        return out
     nv = g.n_vertices
-    if nv < 2:
-        return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0,
-                             reason="no valid bipartition on fewer than two vertices")
     runs = _hash_runs(g.adj)
     # a class of m vertices fills one run with the hashes of its own kind
     # and m runs with those of the other, so the classes number the runs

@@ -31,12 +31,8 @@ _PAIR_RE = re.compile(r"^\((\d+),(\d+)\)$")
 _RESIDUE_FAMILIES = (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA)
 
 
-def render_label(lab: VertexLabel) -> str:
-    return lab.render()
-
-
 def parse_label(text, family: GraphFamily) -> VertexLabel:
-    """Inverse of render_label for the given family; accepts bare ints too."""
+    """Inverse of VertexLabel.render for the given family; accepts bare ints too."""
     s = text if isinstance(text, str) else str(text)
     m = _PAIR_RE.match(s)
     if family in _RESIDUE_FAMILIES:

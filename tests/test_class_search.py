@@ -145,7 +145,7 @@ class TestClassSearch:
             assert (sides[:-1] >= sides[1:]).all()
 
     @pytest.mark.parametrize("n, family", [(48, "gamma"), (120, "gamma"), (240, "gamma"),
-                                           (288, "gamma"), (64, "nilradical"), (90, "omega")])
+                                           (288, "gamma"), (64, "nilradical"), (70, "omega")])
     def test_first_hit_matches_a_plain_enumeration(self, n, family):
         # gamma(240) and gamma(288) span 393 216 and 552 960 vectors and find
         # their first partition at 1792 and 5488, past the first 1024 vectors
@@ -167,6 +167,15 @@ class TestClassSearch:
         out = class_search(complete_graph(5), 10)
         assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 6
         assert out.reason == "class space exhausted"
+
+    def test_isolated_vertex_is_answered_before_hashing(self, monkeypatch):
+        # omega(420) has 48 isolated vertices among 2 097 152 class vectors
+        def no_hashing(adj):
+            raise AssertionError("hashed a graph with an isolated vertex")
+        monkeypatch.setattr(search, "_hash_runs", no_hashing)
+        out = class_search(build_family(420, GraphFamily.OMEGA), 1 << 25)
+        assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 0
+        assert out.reason == "isolated vertex 2"
 
     def test_fewer_than_two_vertices(self):
         out = class_search(gamma(4), 10)

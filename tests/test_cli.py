@@ -310,10 +310,20 @@ class TestSearch:
         assert "examined: 63" in text
 
     def test_inconclusive_beyond_cap(self):
-        text, code = cmd_search(n=100)
+        # gamma(100) has 7 twin classes and 800 > 2^9 class vectors
+        text, code = cmd_search(n=100, cap=10)
         assert code == 2
-        assert "status: Inconclusive" in text
-        assert "exceeds the exhaustive cap" in text
+        assert text == ("status: Inconclusive\nexamined: 0\nreason: 7 twin classes span "
+                        "800 B-count vectors, over the budget of 512\n")
+
+    def test_class_search_beyond_cap(self):
+        # the same answers as construct, which falls back the same way
+        text, code = cmd_search(n=48)
+        assert code == 0 and text.startswith("status: Found\nexamined: 76\nR: ")
+        assert text.splitlines()[2:] == cmd_construct(48, GraphFamily.GAMMA)[0].splitlines()[:2]
+        text, code = cmd_search(n=64)
+        assert code == 1
+        assert text == "status: NoneExists\nexamined: 120\nreason: class space exhausted\n"
 
     def test_local_mode(self):
         text, code = cmd_search(n=15, local=True, seed=3)

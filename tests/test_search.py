@@ -12,6 +12,7 @@ from helpers import (
     side_residues,
 )
 from znvce import (
+    DEFAULT_VERTEX_CAP,
     DomainError,
     GraphFamily,
     LabeledGraph,
@@ -26,6 +27,8 @@ from znvce import (
     non_nilradical_graph,
     total_graph,
 )
+from znvce import search
+from znvce.cli import cmd_survey
 
 
 class TestIsolatedObstruction:
@@ -184,6 +187,98 @@ def test_shortcut_never_changes_the_answer(nv, seed):
     with_cut = brute_force(g)
     without = brute_force(g, isolated_shortcut=False)
     assert with_cut.status is without.status
+
+
+@given(st.integers(2, 12), st.integers(0, 10_000),
+       st.sampled_from(["sparse", "dense", "complete", "isolated"]))
+@settings(max_examples=150, deadline=None)
+def test_refuter_matches_reference_enumeration(nv, seed, kind):
+    if kind == "complete":
+        adj = complete_graph(nv).adj
+    else:
+        adj = random_graph(nv, seed=seed, p={"sparse": 0.2, "dense": 0.75}.get(kind, 0.4)).adj
+        if kind == "isolated":
+            adj = adj.copy()
+            adj[seed % nv, :] = adj[:, seed % nv] = False
+    assert search._refutes(adj) is not ref_has_vce(adj)
+
+
+def _outcome(out) -> tuple:
+    part = None if out.partition is None else out.partition.in_b.tolist()
+    return out.status, out.partitions_examined, part, out.reason
+
+
+def _with_odd_clique(nv: int, seed: int, k: int, p: float) -> LabeledGraph:
+    """A random graph beside a disjoint K_k, k odd: no bipartition of K_k, so
+    none of the whole graph, is very cost effective."""
+    adj = np.zeros((nv, nv), dtype=bool)
+    adj[:nv - k, :nv - k] = random_graph(nv - k, seed=seed, p=p).adj
+    adj[nv - k:, nv - k:] = ~np.eye(k, dtype=bool)
+    return LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
+
+
+def _survey_graphs_within_the_cap():
+    for n in range(2, 121):
+        for fam in GraphFamily:
+            g = build_family(n, fam)
+            if 2 <= g.n_vertices <= DEFAULT_VERTEX_CAP:
+                yield g
+
+
+class TestRefuter:
+    """The bounded refutation that brute_force tries once in a long scan: it
+    may only make exhaustive negatives faster, never change an outcome."""
+
+    @staticmethod
+    def _spy(monkeypatch, decide=search._refutes) -> list[bool]:
+        calls = []
+
+        def spy(adj, budget=None):
+            calls.append(decide(adj, budget))
+            return calls[-1]
+        monkeypatch.setattr(search, "_refutes", spy)
+        return calls
+
+    def _assert_same_outcomes(self, monkeypatch, graphs, symmetry_reduction):
+        def run():
+            return [_outcome(brute_force(g, symmetry_reduction=symmetry_reduction,
+                                         isolated_shortcut=False)) for g in graphs]
+        calls = self._spy(monkeypatch)
+        live = run()
+        self._spy(monkeypatch, lambda adj, budget=None: False)
+        assert run() == live
+        return calls
+
+    @pytest.mark.parametrize("symmetry_reduction", [True, False])
+    def test_survey_outcomes_unchanged(self, monkeypatch, symmetry_reduction):
+        graphs = list(_survey_graphs_within_the_cap())
+        assert len(graphs) == 152
+        calls = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
+        assert True in calls and False in calls
+
+    @pytest.mark.parametrize("symmetry_reduction", [True, False])
+    def test_random_outcomes_unchanged(self, monkeypatch, symmetry_reduction):
+        # the refuter starts from a vertex of the largest degree: beside a
+        # sparse graph that lies in the K_7, which it refutes; beside a denser
+        # one it lies outside the K_5, and the refuter gives up
+        graphs = [g for nv in range(16, 25, 2)
+                  for g in (random_graph(nv, seed=nv), random_graph(nv, seed=nv, p=0.7),
+                            _with_odd_clique(nv, nv, 5, 0.4), _with_odd_clique(nv, nv, 7, 0.15))]
+        calls = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
+        assert True in calls and False in calls
+
+    @pytest.mark.parametrize("n, examined", [(18, 8_388_607), (26, 16_777_215)])
+    def test_decides_total_of_gamma(self, monkeypatch, n, examined):
+        calls = self._spy(monkeypatch)
+        out = brute_force(build_family(n, GraphFamily.TOTAL_OF_GAMMA))
+        assert calls == [True]
+        assert _outcome(out) == (SearchStatus.NONE_EXISTS, examined, None,
+                                 "enumeration exhausted")
+
+    def test_survey_27_to_39_never_calls_it(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        cmd_survey(27, 39)
+        assert calls == []
 
 
 class TestLocalSearch:
