@@ -1,34 +1,28 @@
 """Explicit very-cost-effective bipartitions, one per modulus shape, plus a
 dispatcher that picks the applicable construction (or falls back to search).
 
+One table, `_TABLE`, maps (family, modulus shape) to a split and its
+`ConstructionId`; `dispatch` and the public `vce_*` builders both read it.
 Every partition is verified through the checker exactly once before it
-leaves the module: by the public `vce_*` builder that returns it, or by the
-`Exists` certificate that `dispatch` wraps it in. A verification failure is a
-ConstructionError, never a silently wrong result.
+leaves the module, by the `Exists` certificate that wraps it: `dispatch`
+returns that certificate, a `vce_*` builder its partition. A verification
+failure is a ConstructionError, never a silently wrong result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ShapeError
 from .graphs import (
-    EdgePair,
     GraphFamily,
     LabeledGraph,
     Residue,
-    TotalEdge,
-    TotalOriginal,
     VertexLabel,
     build_family,
-    gamma,
-    line_graph,
-    nilradical_graph,
-    non_nilradical_graph,
-    total_graph,
 )
 from .rings import ModulusShape, ShapeKind, classify, factorize, is_prime
 from .search import (
@@ -103,33 +97,24 @@ class NotVce:
 Certificate = Union[Exists, NotVce]
 
 
-def _verified(g: LabeledGraph, split: Callable[..., Bipartition], *args) -> Bipartition:
-    part = split(g, *args)
-    if not is_vce(g, part):
-        raise ConstructionError("constructed partition failed the checker")
-    return part
-
-
 def _residues(g: LabeledGraph) -> np.ndarray:
     return np.array([lab.k for lab in g.labels], dtype=np.int64)
 
 
-def _squarefree_split(g: LabeledGraph) -> Bipartition:
+def _squarefree_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
     # R = the multiples of the largest prime factor; they form an independent
     # set whose neighbors all sit in B, and B-side products cannot reach 0
     # often enough to tip any tally
-    f = factorize(g.modulus)
-    pm = f.primes[-1]
-    return Bipartition(_residues(g) % pm != 0)
+    return Bipartition(_residues(g) % s.primes[-1] != 0)
 
 
-def _p2q_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
-    ks = _residues(g)
+def _p2q_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
     # R = multiples of q; B = multiples of p not q; together all zero divisors
-    return Bipartition(ks % q != 0)
+    return Bipartition(_residues(g) % s.q != 0)
 
 
-def _p2q2_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
+def _p2q2_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
+    p, q = s.p, s.q
     ks = _residues(g)
     pure = (ks % (p * q) == 0) & (ks % (p * p) != 0) & (ks % (q * q) != 0)
     n_pure = int(pure.sum())
@@ -151,60 +136,132 @@ def _line_side_in_r(a: int, b: int, p: int, q: int) -> bool:
     return (i % 2 == 1) == low_half
 
 
-def _line_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
-    if p == 2:
+def _line_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
+    if s.p == 2:
         # the line graph of the star on q vertices is K_{q-1}, even order;
         # any balanced split works, ascending label order keeps it canonical
-        return _balanced_split(g)
+        return _balanced_split(g, s)
     in_r = np.fromiter(
-        (_line_side_in_r(lab.a, lab.b, p, q) for lab in g.labels), bool, g.n_vertices)
+        (_line_side_in_r(lab.a, lab.b, s.p, s.q) for lab in g.labels), bool, g.n_vertices)
     return Bipartition(~in_r)
 
 
-def _balanced_split(g: LabeledGraph) -> Bipartition:
+def _balanced_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
     nv = g.n_vertices
     return Bipartition(np.arange(nv) >= nv // 2)
 
 
-def _p3_split(g: LabeledGraph, p: int) -> Bipartition:
+def _p3_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
     # B = multiples of p^2 (p-1 of them), R = the rest (p(p-1) of them)
-    return Bipartition(_residues(g) % (p * p) == 0)
+    return Bipartition(_residues(g) % (s.p * s.p) == 0)
 
 
-def _total_split(g: LabeledGraph, p: int, q: int) -> Bipartition:
+def _total_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
     in_r = np.zeros(g.n_vertices, dtype=bool)
     for v, lab in enumerate(g.labels):
-        if isinstance(lab, TotalOriginal):
-            in_r[v] = lab.k % p == 0
+        if isinstance(lab, Residue):
+            in_r[v] = lab.k % s.p == 0
         else:
-            in_r[v] = _line_side_in_r(lab.a, lab.b, p, q)
+            in_r[v] = _line_side_in_r(lab.a, lab.b, s.p, s.q)
     return Bipartition(~in_r)
+
+
+class _Row(NamedTuple):
+    """One construction: the graphs it covers and the split it applies.
+
+    It covers the `family` graph of every n whose shape has kind `kind`, and
+    exactly `primes` distinct primes when that is not None. `p2_refusal` is
+    the reason p = 2 (the shape's p) is left out, or None when it is not.
+    `split_name` names the split, a function of the graph and the shape.
+    """
+
+    family: GraphFamily
+    kind: ShapeKind
+    primes: int | None
+    p2_refusal: str | None
+    split_name: str
+    cid: ConstructionId
+
+    def split(self, g: LabeledGraph, shape: ModulusShape) -> Bipartition:
+        # looked up by name on every call, so a replaced split takes effect
+        return globals()[self.split_name](g, shape)
+
+
+_F, _K, _C = GraphFamily, ShapeKind, ConstructionId
+
+# The first row that covers (family, shape) applies. A refusal that says no
+# very-cost-effective split exists is checked against a search oracle in
+# tests/test_routing_table.py; the gamma p^2 q^2 one says only that p = 2
+# lies outside the theorem (gamma(100) has such a split).
+_TABLE = (
+    _Row(_F.GAMMA, _K.SQUAREFREE_COMPOSITE, 2, None, "_squarefree_split", _C.COR2_2_PQ),
+    _Row(_F.GAMMA, _K.SQUAREFREE_COMPOSITE, None, None,
+         "_squarefree_split", _C.THM2_1_SQUAREFREE),
+    _Row(_F.GAMMA, _K.P_SQUARED_Q, None, None, "_p2q_split", _C.THM2_3I_P2Q),
+    _Row(_F.GAMMA, _K.P_SQUARED_Q_SQUARED, None,
+         "p = 2 is not covered; both primes must be odd", "_p2q2_split", _C.THM2_3II_P2Q2),
+    _Row(_F.LINE_OF_GAMMA, _K.SQUAREFREE_COMPOSITE, 2, None, "_line_split", _C.THM2_4_LINE_PQ),
+    _Row(_F.NILRADICAL, _K.P_SQUARED, None,
+         "the nilpotent graph of 4 is a single vertex; no bipartition",
+         "_balanced_split", _C.THM3_3I_P2),
+    _Row(_F.NILRADICAL, _K.P_SQUARED_Q_SQUARED, None,
+         "p = 2 gives the complete graph on 2q - 1 vertices, odd order, "
+         "which has no very-cost-effective split (n = 36 checked exhaustively)",
+         "_balanced_split", _C.THM3_3II_P2Q2_NIL),
+    _Row(_F.NILRADICAL, _K.P_CUBED, None, None, "_p3_split", _C.THM3_3III_P3),
+    _Row(_F.NILRADICAL, _K.P_SQUARED_Q, None,
+         "the squared prime must be odd; 4q leaves a single vertex",
+         "_balanced_split", _C.THM3_3IV_P2Q_NIL),
+    _Row(_F.OMEGA, _K.SQUAREFREE_COMPOSITE, None, None,
+         "_squarefree_split", _C.THM3_5_OMEGA_SQUAREFREE),
+    _Row(_F.TOTAL_OF_GAMMA, _K.SQUAREFREE_COMPOSITE, 2,
+         "p = 2 total graphs are never very cost effective; no construction",
+         "_total_split", _C.THM4_2_TOTAL_PQ),
+)
+
+
+def _row(shape: ModulusShape, family: GraphFamily) -> _Row | None:
+    """The first row that covers (shape, family), whether or not it refuses p = 2."""
+    return next((r for r in _TABLE if r.family is family and r.kind is shape.kind
+                 and r.primes in (None, len(shape.primes))), None)
+
+
+def _route(shape: ModulusShape, family: GraphFamily) -> tuple[Callable, ConstructionId] | None:
+    row = _row(shape, family)
+    if row is None or (row.p2_refusal is not None and shape.p == 2):
+        return None
+    return row.split, row.cid
+
+
+def _construct(n: int, family: GraphFamily, kind: ShapeKind | None = None) -> Bipartition:
+    """The verified partition of the row that covers the `family` graph of n,
+    when that row has kind `kind` (any kind when None). The shape is checked,
+    and a ShapeError raised, before any graph is built."""
+    shape = classify(factorize(n))
+    row = _row(shape, family)
+    if row is None or kind not in (None, row.kind):
+        scope = (f"this {family.value} construction, which needs {kind.value}" if kind
+                 else f"every {family.value} construction")
+        raise ShapeError(f"n = {n} (shape {shape.kind.value}) is outside {scope}")
+    if _route(shape, family) is None:  # the row refuses p = 2
+        raise ShapeError(row.p2_refusal)
+    g = build_family(n, family)
+    return Exists(g, row.split(g, shape), row.cid).partition
 
 
 def vce_squarefree(n: int) -> Bipartition:
     """R = zero divisors divisible by the largest prime factor, B = the rest."""
-    f = factorize(n)
-    if not (f.is_squarefree and len(f.factors) >= 2):
-        raise ShapeError(f"n = {n} is not squarefree with at least two prime factors")
-    return _verified(gamma(n), _squarefree_split)
+    return _construct(n, GraphFamily.GAMMA, ShapeKind.SQUAREFREE_COMPOSITE)
 
 
 def vce_p2q(n: int) -> Bipartition:
     """R = multiples of q, B = multiples of p not q, over the zero-divisor graph."""
-    shape = classify(factorize(n))
-    if shape.kind is not ShapeKind.P_SQUARED_Q:
-        raise ShapeError(f"n = {n} is not of the form p^2 q")
-    return _verified(gamma(n), _p2q_split, shape.p, shape.q)
+    return _construct(n, GraphFamily.GAMMA, ShapeKind.P_SQUARED_Q)
 
 
 def vce_p2q2(n: int) -> Bipartition:
     """Six-block split of the zero-divisor graph of p^2 q^2, odd p < q."""
-    shape = classify(factorize(n))
-    if shape.kind is not ShapeKind.P_SQUARED_Q_SQUARED:
-        raise ShapeError(f"n = {n} is not of the form p^2 q^2")
-    if shape.p == 2:
-        raise ShapeError("p = 2 is not covered; both primes must be odd")
-    return _verified(gamma(n), _p2q2_split, shape.p, shape.q)
+    return _construct(n, GraphFamily.GAMMA, ShapeKind.P_SQUARED_Q_SQUARED)
 
 
 def _require_prime_pair(p: int, q: int) -> None:
@@ -218,84 +275,25 @@ def vce_line_pq(p: int, q: int) -> Bipartition:
     """Half-split of the line graph of the complete bipartite zero-divisor
     graph of pq; for p = 2 a balanced split of the complete line graph."""
     _require_prime_pair(p, q)
-    return _verified(line_graph(gamma(p * q)), _line_split, p, q)
+    return _construct(p * q, GraphFamily.LINE_OF_GAMMA)
 
 
 def vce_nilradical(n: int) -> Bipartition:
     """Balanced or layered split of the graph on nonzero nilpotents."""
-    shape = classify(factorize(n))
-    g = nilradical_graph(n)
-    if shape.kind is ShapeKind.P_SQUARED:
-        if shape.p == 2:
-            raise ShapeError("the nilpotent graph of 4 is a single vertex; no bipartition")
-        return _verified(g, _balanced_split)
-    if shape.kind is ShapeKind.P_SQUARED_Q_SQUARED:
-        if shape.p == 2:
-            raise ShapeError(
-                "p = 2 gives the complete graph on 2q - 1 vertices, odd order, "
-                "which has no very-cost-effective split (n = 36 checked exhaustively)")
-        return _verified(g, _balanced_split)
-    if shape.kind is ShapeKind.P_CUBED:
-        return _verified(g, _p3_split, shape.p)
-    if shape.kind is ShapeKind.P_SQUARED_Q:
-        if shape.p == 2:
-            raise ShapeError("the squared prime must be odd; 4q leaves a single vertex")
-        return _verified(g, _balanced_split)
-    raise ShapeError(f"no nilpotent-graph construction applies to n = {n}")
+    return _construct(n, GraphFamily.NILRADICAL)
 
 
 def vce_omega_squarefree(n: int) -> Bipartition:
     """For squarefree n the non-nilpotent graph coincides with the whole
     zero-divisor graph, so the same split applies vertex for vertex."""
-    f = factorize(n)
-    if not (f.is_squarefree and len(f.factors) >= 2):
-        raise ShapeError(f"n = {n} is not squarefree with at least two prime factors")
-    return _verified(non_nilradical_graph(n), _squarefree_split)
+    return _construct(n, GraphFamily.OMEGA)
 
 
 def vce_total_pq(p: int, q: int) -> Bipartition:
     """Original vertices split by p- versus q-multiples; edge vertices reuse
     the line-graph half-split. Requires odd p < q."""
     _require_prime_pair(p, q)
-    if p == 2:
-        raise ShapeError("p = 2 total graphs are never very cost effective; no construction")
-    return _verified(total_graph(gamma(p * q)), _total_split, p, q)
-
-
-_Route = tuple[Callable[[LabeledGraph, ModulusShape], Bipartition], ConstructionId]
-
-
-def _route(shape: ModulusShape, family: GraphFamily) -> _Route | None:
-    kind = shape.kind
-    if family is GraphFamily.GAMMA:
-        if kind is ShapeKind.SQUAREFREE_COMPOSITE:
-            cid = (ConstructionId.COR2_2_PQ if len(shape.primes) == 2
-                   else ConstructionId.THM2_1_SQUAREFREE)
-            return (lambda g, s: _squarefree_split(g)), cid
-        if kind is ShapeKind.P_SQUARED_Q:
-            return (lambda g, s: _p2q_split(g, s.p, s.q)), ConstructionId.THM2_3I_P2Q
-        if kind is ShapeKind.P_SQUARED_Q_SQUARED and shape.p > 2:
-            return (lambda g, s: _p2q2_split(g, s.p, s.q)), ConstructionId.THM2_3II_P2Q2
-    elif family is GraphFamily.NILRADICAL:
-        if kind is ShapeKind.P_SQUARED and shape.p > 2:
-            return (lambda g, s: _balanced_split(g)), ConstructionId.THM3_3I_P2
-        if kind is ShapeKind.P_SQUARED_Q_SQUARED and shape.p > 2:
-            return (lambda g, s: _balanced_split(g)), ConstructionId.THM3_3II_P2Q2_NIL
-        if kind is ShapeKind.P_CUBED:
-            return (lambda g, s: _p3_split(g, s.p)), ConstructionId.THM3_3III_P3
-        if kind is ShapeKind.P_SQUARED_Q and shape.p > 2:
-            return (lambda g, s: _balanced_split(g)), ConstructionId.THM3_3IV_P2Q_NIL
-    elif family is GraphFamily.OMEGA:
-        if kind is ShapeKind.SQUAREFREE_COMPOSITE:
-            return (lambda g, s: _squarefree_split(g)), ConstructionId.THM3_5_OMEGA_SQUAREFREE
-    elif family is GraphFamily.LINE_OF_GAMMA:
-        if kind is ShapeKind.SQUAREFREE_COMPOSITE and len(shape.primes) == 2:
-            return (lambda g, s: _line_split(g, s.p, s.q)), ConstructionId.THM2_4_LINE_PQ
-    elif family is GraphFamily.TOTAL_OF_GAMMA:
-        if (kind is ShapeKind.SQUAREFREE_COMPOSITE and len(shape.primes) == 2
-                and shape.p > 2):
-            return (lambda g, s: _total_split(g, s.p, s.q)), ConstructionId.THM4_2_TOTAL_PQ
-    return None
+    return _construct(p * q, GraphFamily.TOTAL_OF_GAMMA)
 
 
 def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, *,

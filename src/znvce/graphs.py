@@ -33,28 +33,10 @@ class EdgePair:
         return f"({self.a},{self.b})"
 
 
-@dataclass(frozen=True, order=True)
-class TotalOriginal:
-    k: int
+# a total graph's vertices are residues and edge pairs too; its old label names stay
+TotalOriginal, TotalEdge = Residue, EdgePair
 
-    def render(self) -> str:
-        return str(self.k)
-
-
-@dataclass(frozen=True, order=True)
-class TotalEdge:
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if not self.a < self.b:
-            raise ValueError(f"edge endpoints must satisfy a < b, got ({self.a},{self.b})")
-
-    def render(self) -> str:
-        return f"({self.a},{self.b})"
-
-
-VertexLabel = Union[Residue, EdgePair, TotalOriginal, TotalEdge]
+VertexLabel = Union[Residue, EdgePair]
 
 # side of the square blocks LabeledGraph compares for symmetry
 _SYMMETRY_TILE = 256
@@ -190,12 +172,6 @@ def non_nilradical_graph(n: int) -> LabeledGraph:
     return _residue_graph(n, zs[zs % rad != 0])
 
 
-def _require_residue_labels(g: LabeledGraph, op: str) -> None:
-    for lab in g.labels:
-        if not isinstance(lab, Residue):
-            raise DomainError(f"{op} expects a residue-labeled graph, found {type(lab).__name__}")
-
-
 def _shared_endpoint_adj(inc: np.ndarray) -> np.ndarray:
     # inc is the |V| x |E| incidence matrix; distinct edges share at most one endpoint
     shared = inc.T.astype(np.float32) @ inc.astype(np.float32)
@@ -204,34 +180,33 @@ def _shared_endpoint_adj(inc: np.ndarray) -> np.ndarray:
     return adj
 
 
-def line_graph(g: LabeledGraph) -> LabeledGraph:
-    """One vertex per edge of g; adjacency iff the edges share an endpoint."""
-    _require_residue_labels(g, "line_graph")
+def _edge_vertices(g: LabeledGraph, op: str) -> tuple[list[EdgePair], np.ndarray]:
+    """One EdgePair label per edge of g, in edge order, and g's |V| x |E|
+    incidence matrix; `op` names the caller when g is not residue-labeled."""
+    for lab in g.labels:
+        if not isinstance(lab, Residue):
+            raise DomainError(f"{op} expects a residue-labeled graph, found {type(lab).__name__}")
     es = g.edges()
-    m = len(es)
-    inc = np.zeros((g.n_vertices, m), dtype=bool)
+    inc = np.zeros((g.n_vertices, len(es)), dtype=bool)
     labels = []
     for k, (i, j) in enumerate(es):
         inc[i, k] = inc[j, k] = True
         lo, hi = sorted((g.labels[i].k, g.labels[j].k))
         labels.append(EdgePair(lo, hi))
+    return labels, inc
+
+
+def line_graph(g: LabeledGraph) -> LabeledGraph:
+    """One vertex per edge of g; adjacency iff the edges share an endpoint."""
+    labels, inc = _edge_vertices(g, "line_graph")
     return LabeledGraph._adopt(labels, _shared_endpoint_adj(inc), modulus=g.modulus)
 
 
 def total_graph(g: LabeledGraph) -> LabeledGraph:
     """Vertices of g plus edges of g; all vertex-vertex, edge-edge, vertex-edge adjacencies."""
-    _require_residue_labels(g, "total_graph")
-    es = g.edges()
-    m = len(es)
-    inc = np.zeros((g.n_vertices, m), dtype=bool)
-    edge_labels = []
-    for k, (i, j) in enumerate(es):
-        inc[i, k] = inc[j, k] = True
-        lo, hi = sorted((g.labels[i].k, g.labels[j].k))
-        edge_labels.append(TotalEdge(lo, hi))
+    edge_labels, inc = _edge_vertices(g, "total_graph")
     adj = np.block([[g.adj, inc], [inc.T, _shared_endpoint_adj(inc)]])
-    labels = [TotalOriginal(lab.k) for lab in g.labels] + edge_labels
-    return LabeledGraph._adopt(labels, adj, modulus=g.modulus)
+    return LabeledGraph._adopt(g.labels + tuple(edge_labels), adj, modulus=g.modulus)
 
 
 def isolated_vertices(g: LabeledGraph) -> list[VertexLabel]:

@@ -20,8 +20,6 @@ from .graphs import (
     GraphFamily,
     LabeledGraph,
     Residue,
-    TotalEdge,
-    TotalOriginal,
     VertexLabel,
 )
 from .vce import Bipartition
@@ -35,18 +33,16 @@ def parse_label(text, family: GraphFamily) -> VertexLabel:
     """Inverse of VertexLabel.render for the given family; accepts bare ints too."""
     s = text if isinstance(text, str) else str(text)
     m = _PAIR_RE.match(s)
-    if family in _RESIDUE_FAMILIES:
-        if m:
-            raise FormatError(f"family {family.value} has residue labels, got {s!r}")
+    if m is None:
+        if family is GraphFamily.LINE_OF_GAMMA:
+            raise FormatError(f"family {family.value} has pair labels, got {s!r}")
         return Residue(_parse_residue(s))
-    if family is GraphFamily.LINE_OF_GAMMA and not m:
-        raise FormatError(f"family {family.value} has pair labels, got {s!r}")
-    if m:
-        a, b = int(m.group(1)), int(m.group(2))
-        if not a < b:
-            raise FormatError(f"pair label {s!r} is not ascending")
-        return (EdgePair if family is GraphFamily.LINE_OF_GAMMA else TotalEdge)(a, b)
-    return TotalOriginal(_parse_residue(s))
+    if family in _RESIDUE_FAMILIES:
+        raise FormatError(f"family {family.value} has residue labels, got {s!r}")
+    a, b = int(m.group(1)), int(m.group(2))
+    if not a < b:
+        raise FormatError(f"pair label {s!r} is not ascending")
+    return EdgePair(a, b)
 
 
 def _parse_residue(s: str) -> int:

@@ -99,10 +99,6 @@ class VertexTally:
     outside: int
     verdict: Verdict
 
-    @classmethod
-    def from_counts(cls, vertex: int, inside: int, outside: int) -> "VertexTally":
-        return cls(vertex, inside, outside, _BY_SIGN[(inside > outside) - (inside < outside) + 1])
-
 
 @dataclass(frozen=True, eq=False)
 class VceReport:
@@ -151,9 +147,7 @@ def tally(g: LabeledGraph, part: Bipartition, v: int) -> VertexTally:
     _validate(g, part)
     if not 0 <= v < g.n_vertices:
         raise DomainError(f"vertex {v} out of range for a {g.n_vertices}-vertex graph")
-    nb = g.adj[v]
-    inside = int(np.count_nonzero(nb & (part.in_b == part.in_b[v])))
-    return VertexTally.from_counts(v, inside, g.degree(v) - inside)
+    return check_bipartition(g, part).tallies[v]
 
 
 def check_bipartition(g: LabeledGraph, part: Bipartition) -> VceReport:

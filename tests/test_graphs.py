@@ -141,6 +141,18 @@ def test_total_graph_single_vertex():
     assert t.labels == (TotalOriginal(2),)
 
 
+def test_total_graph_labels_are_residues_and_edge_pairs():
+    # one label type per kind: a total graph's vertices are gamma's residues,
+    # then its edges as pairs, so an edgeless graph is its own total graph
+    assert TotalOriginal is Residue and TotalEdge is EdgePair
+    t = total_graph(gamma(15))
+    assert t.labels[:6] == gamma(15).labels
+    assert t.labels[6:] == line_graph(gamma(15)).labels
+    assert total_graph(gamma(4)) == gamma(4)
+    assert total_graph(total_graph(gamma(4))) == gamma(4)
+    assert line_graph(total_graph(gamma(4))).n_vertices == 0
+
+
 def test_total_graph_degree_laws():
     for n in range(2, 501):
         g = gamma(n)
