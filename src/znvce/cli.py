@@ -11,7 +11,8 @@ from .constructions import Certificate, Exists, ExhaustedSearch, IsolatedVertex,
 from .errors import DomainError, FormatError, PartitionError
 from .graphs import GraphFamily, LabeledGraph, build_family
 from .rings import classify, factorize
-from .search import DEFAULT_VERTEX_CAP, SearchStatus, brute_force, class_search, local_search
+from .search import (DEFAULT_VERTEX_CAP, SearchStatus, brute_force, class_budget, class_search,
+                      local_search)
 from .serialize import (
     graph_from_json,
     graph_to_dot,
@@ -110,7 +111,7 @@ def cmd_search(
             # past the cap, the twin-class search with the budget dispatch gives it
             out = brute_force(g, vertex_cap=cap)
             if out.status is SearchStatus.INCONCLUSIVE:
-                out = class_search(g, 1 << (cap - 1) if cap > 0 else 0)
+                out = class_search(g, class_budget(cap))
     except OSError as exc:
         return f"error: {exc}\n", 2
     except (FormatError, DomainError) as exc:

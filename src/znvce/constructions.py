@@ -29,6 +29,7 @@ from .search import (
     DEFAULT_VERTEX_CAP,
     SearchStatus,
     brute_force,
+    class_budget,
     class_search,
     isolated_obstruction,
 )
@@ -325,5 +326,5 @@ def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, 
     if out.status is SearchStatus.NONE_EXISTS:
         return NotVce(g, ExhaustedSearch(out.partitions_examined))
     if out.status is SearchStatus.INCONCLUSIVE:
-        out = class_search(g, 1 << (vertex_cap - 1) if vertex_cap > 0 else 0)
+        out = class_search(g, class_budget(vertex_cap))
     return Exists(g, out.partition, source=None) if out.status is SearchStatus.FOUND else None

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from math import prod
 from time import perf_counter
 
@@ -22,9 +21,8 @@ DEFAULT_VERTEX_CAP = 26
 # of 2^12..2^18 tried (2-core Xeon); masks are int64, so at most _MAX_FREE bits
 _LO_BITS, _HI_ROWS, _MAX_FREE = 12, 4, 62
 
-# twin_classes hashes rows, and class_search checks candidates, in blocks
-# of at most _BLOCK_BYTES per array; class_search tabulates the vectors of
-# its low classes up to _LO_VECTORS of them
+# class_search checks candidates in blocks of at most _BLOCK_BYTES per
+# array, and tabulates the vectors of its low classes up to _LO_VECTORS of them
 _BLOCK_BYTES, _LO_VECTORS = 1 << 18, 1 << 10
 
 # a refuter node costs about as much as 500 masks of the kernel (2-core Xeon),
@@ -295,73 +293,35 @@ def local_search(
                          reason="restart and step budget exhausted")
 
 
-@lru_cache(maxsize=64)
-def _hash_weights(nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed pseudo-random int64 weights for graphs of up to 8 * nb vertices:
-    one per byte column of a packed adjacency (the splitmix64 mix of the
-    column number), and one per vertex, its column's weight times its bit."""
-    z = np.arange(1, nb + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    c = (z ^ (z >> np.uint64(31))).view(np.int64)
-    w = (c[:, None] * (128 >> np.arange(8))).ravel()
-    c.setflags(write=False)
-    w.setflags(write=False)
-    return c, w
+def _twins(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """twin_classes, plus each class's smallest vertex, from one stable sort.
 
-
-def _slot_rows(packed: np.ndarray, slots: np.ndarray, nv: int) -> np.ndarray:
-    """Packed rows of the vertices slots % nv; a slot of nv or more stands
-    for the closed neighbourhood, so its vertex's own bit is set."""
-    v = slots % nv
-    rows = packed[v]
-    closed = np.flatnonzero(slots >= nv)
-    rows[closed, v[closed] // 8] |= (128 >> v[closed] % 8).astype(np.uint8)
-    return rows
-
-
-def _hash_runs(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(packed rows, slots sorted by hash, whether each starts a run of equal
-    hashes). Slot v < |V| holds the open hash of v, slot |V| + v its closed
-    hash, and ties keep slot order."""
+    Slot v < |V| holds the open row of v packed to bytes (vertex u is bit
+    128 >> u % 8 of byte u // 8), slot |V| + v its closed row (the open row
+    with v's own bit set); each row is one byte-string key. In sorted order a
+    run of equal keys starts wherever two neighbours differ, and since ties
+    keep slot order, the first slot of a run is its smallest. No open row
+    equals a closed one, because N(u) = N[v] would put u in N(u).
+    """
     nv = adj.shape[0]
+    v = np.arange(nv)
     packed = np.packbits(adj, axis=1)
-    c, w = _hash_weights(packed.shape[1])
-    block = max(1, _BLOCK_BYTES // (8 * max(packed.shape[1], 1)))
-    keys = np.empty(2 * nv, dtype=np.int64)
-    h = keys[:nv]
-    for i in range(0, nv, block):
-        h[i:i + block] = packed[i:i + block].astype(np.int64) @ c
-    np.add(h, w[:nv], out=keys[nv:])
-    slots = np.argsort(keys, kind="stable")
-    ordered = keys[slots]
+    rows = np.concatenate((packed, packed))
+    rows[nv + v, v // 8] |= (128 >> v % 8).astype(np.uint8)
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
     first = np.ones(2 * nv, dtype=bool)
     first[1:] = ordered[1:] != ordered[:-1]
-    return packed, slots, first
-
-
-def _confirmed_classes(packed: np.ndarray, slots: np.ndarray,
-                       first: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """twin_classes from the hash runs, plus each class's smallest vertex.
-    Every slot is compared with the first slot of its run, and the slots
-    that differ form the runs of the next round, so that equal hashes alone
-    never join two vertices."""
-    nv = packed.shape[0]
-    # every vertex points at the smallest member of its class
-    rep = np.arange(nv)
-    is_clique = np.zeros(nv, dtype=bool)
-    run = np.cumsum(first)
-    while not first.all():
-        lead = slots[first][np.cumsum(first) - 1]
-        a, b, run = slots[~first], lead[~first], run[~first]
-        rows = _slot_rows(packed, np.concatenate((a, b)), nv)
-        same = (rows[:a.size] == rows[a.size:]).all(axis=1)
-        rep[a[same] % nv] = b[same] % nv
-        is_clique[b[same & (b >= nv)] - nv] = True
-        slots, run = a[~same], run[~same]
-        first = np.concatenate(([True], run[1:] != run[:-1]))[:run.size]
-    reps = np.flatnonzero(rep == np.arange(nv))
-    return np.searchsorted(reps, rep), is_clique[reps], reps
+    run = np.empty(2 * nv, dtype=np.intp)
+    run[order] = np.cumsum(first) - 1
+    lead, size = order[first], np.bincount(run)
+    # a closed run of two or more is a clique class; every other vertex
+    # belongs to its open run, an independent class or a vertex alone
+    clique = size[run[nv:]] > 1
+    rep = np.where(clique, lead[run[nv:]] - nv, lead[run[:nv]])
+    reps = np.flatnonzero(rep == v)
+    return np.searchsorted(reps, rep), clique[reps], reps
 
 
 def twin_classes(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -371,16 +331,16 @@ def twin_classes(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     Independent classes are open twins, N(u) = N(v); clique classes are
     closed twins, N[u] = N[v]. No vertex has twins of both kinds, and no
     open neighbourhood equals a closed one. A vertex with no twin is a class
-    of its own (not a clique). Classes are numbered by their smallest vertex.
-
-    Rows are packed to bytes (vertex u is bit 128 >> u % 8 of byte u // 8)
-    and hashed by one int64 mat-vec against a weight per byte column, cast a
-    block of rows at a time. With w[u] its byte's weight times its bit, the
-    hash h[v] is the wrapping sum of w over N(v), and h + w is the same sum
-    over N[v]. One sort of both hashes groups the candidates, and every
-    member is confirmed by comparing packed rows.
+    of its own (not a clique). Classes are numbered by their smallest vertex,
+    and one stable sort of the packed open and closed rows finds them exactly.
     """
-    return _confirmed_classes(*_hash_runs(g.adj))[:2]
+    return _twins(g.adj)[:2]
+
+
+def class_budget(vertex_cap: int) -> int:
+    """The class_search budget that matches brute_force at vertex_cap: the
+    2^(vertex_cap - 1) masks it scans there, or 0 for a cap below one."""
+    return 1 << (vertex_cap - 1) if vertex_cap > 0 else 0
 
 
 def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
@@ -396,32 +356,20 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     smallest ids of each class on side B; partitions_examined counts the
     vectors up to and including it, or all of them. As in brute_force, an
     isolated vertex is NoneExists with none examined. A class space over
-    max_vectors is Inconclusive before anything is enumerated, and before
-    the classes are confirmed when their hashes alone show it; one over
-    2^62 within the budget is a DomainError.
+    max_vectors is Inconclusive before anything is enumerated; one over 2^62
+    within the budget is a DomainError.
     """
     t0 = perf_counter()
     out = _unsearched(g, t0, isolated_shortcut=True)
     if out is not None:
         return out
-    nv = g.n_vertices
-    runs = _hash_runs(g.adj)
-    # a class of m vertices fills one run with the hashes of its own kind
-    # and m runs with those of the other, so the classes number the runs
-    # minus |V|; a hash collision only merges runs, so that is a lower bound
-    fewest = max(0, int(runs[2].sum()) - nv)
-    if 1 << fewest > max_vectors:
-        return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
-                             reason=f"at least {fewest} twin classes span at least "
-                                    f"2^{fewest} B-count vectors, over the budget of {max_vectors}")
-    cls, clique, reps = _confirmed_classes(*runs)
-    k = clique.size
-    size = np.bincount(cls, minlength=k)
+    cls, clique, reps = _twins(g.adj)
+    size = np.bincount(cls)
     radix = np.where(clique, size + 1, 2)
     space = prod(radix.tolist())
     if space > max_vectors:
         return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
-                             reason=f"{k} twin classes span {space} B-count vectors, "
+                             reason=f"{size.size} twin classes span {space} B-count vectors, "
                                     f"over the budget of {max_vectors}")
     if space > 1 << _MAX_FREE:
         raise DomainError(f"class search needs an int64 index per vector; {space} "

@@ -69,13 +69,15 @@ class TestTwinClasses:
             cls, clique = twin_classes(g)
             assert cls.tolist() == [0] * g.n_vertices and clique.tolist() == [kind]
 
-    def test_forced_hash_collision_never_merges_classes(self, monkeypatch):
-        # with zero weights every open and every closed hash is 0, so every
-        # vertex collides with every other and only the row comparison splits
-        def zero_weights(nb):
-            return np.zeros(nb, dtype=np.int64), np.zeros(8 * nb, dtype=np.int64)
+    def test_graphs_with_fewer_than_two_vertices(self):
+        cls, clique = twin_classes(gamma(2))
+        assert cls.tolist() == [] and clique.tolist() == []
+        cls, clique = twin_classes(gamma(4))
+        assert cls.tolist() == [0] and clique.tolist() == [False]
 
-        monkeypatch.setattr(search, "_hash_weights", zero_weights)
+    def test_equal_degrees_never_merge_classes(self):
+        # every vertex of C4 has degree 2, and of P4's, two share each degree,
+        # yet only equal rows make twins
         cycle = graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         cls, clique = twin_classes(cycle)
         assert cls.tolist() == [0, 1, 0, 1] and clique.tolist() == [False, False]
@@ -88,7 +90,7 @@ class TestTwinClasses:
 
     @pytest.mark.parametrize("n", [12, 30, 48, 64, 100, 120])
     def test_matches_the_definition_on_residue_graphs(self, n):
-        for fam in (GraphFamily.GAMMA, GraphFamily.LINE_OF_GAMMA):
+        for fam in GraphFamily:
             g = build_family(n, fam)
             cls, clique = twin_classes(g)
             ref_cls, ref_kinds = ref_twin_classes(g.adj)
@@ -168,11 +170,11 @@ class TestClassSearch:
         assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 6
         assert out.reason == "class space exhausted"
 
-    def test_isolated_vertex_is_answered_before_hashing(self, monkeypatch):
+    def test_isolated_vertex_is_answered_before_the_classes(self, monkeypatch):
         # omega(420) has 48 isolated vertices among 2 097 152 class vectors
-        def no_hashing(adj):
-            raise AssertionError("hashed a graph with an isolated vertex")
-        monkeypatch.setattr(search, "_hash_runs", no_hashing)
+        def no_classes(adj):
+            raise AssertionError("computed the classes of a graph with an isolated vertex")
+        monkeypatch.setattr(search, "_twins", no_classes)
         out = class_search(build_family(420, GraphFamily.OMEGA), 1 << 25)
         assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 0
         assert out.reason == "isolated vertex 2"
@@ -188,8 +190,8 @@ class TestClassSearch:
         assert twin_classes(g)[1].size == 70
         out = class_search(g, 1 << 69)
         assert out.status is SearchStatus.INCONCLUSIVE and out.partitions_examined == 0
-        assert out.reason == (f"at least 70 twin classes span at least 2^70 B-count "
-                              f"vectors, over the budget of {1 << 69}")
+        assert out.reason == (f"70 twin classes span {1 << 70} B-count vectors, "
+                              f"over the budget of {1 << 69}")
         with pytest.raises(DomainError, match="exceeds the limit of 2\\^62"):
             class_search(g, 1 << 70)
 
@@ -200,13 +202,13 @@ class TestClassSearch:
         assert out.reason == "5 twin classes span 120 B-count vectors, over the budget of 119"
         out = class_search(g, 120)
         assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 120
-        # 20 vertices without twins: the count from the hashes alone is exact
-        g = random_graph(20, seed=1)
+        g = random_graph(20, seed=1)  # 20 vertices without twins
         assert twin_classes(g)[1].size == 20
         assert class_search(g, 1 << 20).status is not SearchStatus.INCONCLUSIVE
         out = class_search(g, (1 << 20) - 1)
         assert out.status is SearchStatus.INCONCLUSIVE
-        assert out.reason.startswith("at least 20 twin classes span at least 2^20 ")
+        assert out.reason == ("20 twin classes span 1048576 B-count vectors, "
+                              "over the budget of 1048575")
 
     def test_nilradical_64_has_none(self):
         out = class_search(nilradical_graph(64), 1 << 25)
