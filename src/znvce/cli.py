@@ -35,7 +35,8 @@ def cmd_build(n: int, family: GraphFamily, fmt: str) -> str:
 
 def _side_lines(g: LabeledGraph, part: Bipartition) -> list[str]:
     """The `R: …` and `B: …` lines, each side's labels by vertex id."""
-    return [f"{side}: " + " ".join(g.labels[int(i)].render() for i in ids)
+    names = g.names()
+    return [f"{side}: " + " ".join(names[i] for i in ids.tolist())
             for side, ids in (("R", part.r_ids), ("B", part.b_ids))]
 
 
@@ -232,6 +233,10 @@ def main(argv: list[str] | None = None) -> int:
             code = 0
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's says how much it could not allocate; a bare one says nothing
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     out_path = getattr(args, "out", None)
     if text.startswith("error:"):

@@ -20,7 +20,6 @@ from .errors import ConstructionError, DomainError, ShapeError
 from .graphs import (
     GraphFamily,
     LabeledGraph,
-    Residue,
     VertexLabel,
     build_family,
 )
@@ -91,7 +90,7 @@ class NotVce:
             if self.graph.degree(w.vertex) != 0:
                 raise ConstructionError(
                     f"claimed isolated vertex {w.label.render()} has neighbors")
-            if self.graph.labels[w.vertex] != w.label:
+            if self.graph.label(w.vertex) != w.label:
                 raise ConstructionError("witness label does not match its vertex id")
 
 
@@ -99,7 +98,7 @@ Certificate = Union[Exists, NotVce]
 
 
 def _residues(g: LabeledGraph) -> np.ndarray:
-    return np.array([lab.k for lab in g.labels], dtype=np.int64)
+    return g.keys()[:, 0]
 
 
 def _squarefree_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
@@ -130,10 +129,11 @@ def _p2q2_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
     return Bipartition(~in_r)
 
 
-def _line_side_in_r(a: int, b: int, p: int, q: int) -> bool:
-    u, v = (a, b) if a % p == 0 else (b, a)
-    i, j = u // p, v // q
-    low_half = 1 <= j <= (p - 1) // 2
+def _line_side_in_r(a: np.ndarray, b: np.ndarray, p: int, q: int) -> np.ndarray:
+    # per edge (a, b): u is its end that p divides, v its other end
+    a_is_u = a % p == 0
+    i, j = np.where(a_is_u, a, b) // p, np.where(a_is_u, b, a) // q
+    low_half = (1 <= j) & (j <= (p - 1) // 2)
     return (i % 2 == 1) == low_half
 
 
@@ -142,9 +142,8 @@ def _line_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
         # the line graph of the star on q vertices is K_{q-1}, even order;
         # any balanced split works, ascending label order keeps it canonical
         return _balanced_split(g, s)
-    in_r = np.fromiter(
-        (_line_side_in_r(lab.a, lab.b, s.p, s.q) for lab in g.labels), bool, g.n_vertices)
-    return Bipartition(~in_r)
+    ks = g.keys()
+    return Bipartition(~_line_side_in_r(ks[:, 0], ks[:, 1], s.p, s.q))
 
 
 def _balanced_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
@@ -158,12 +157,8 @@ def _p3_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
 
 
 def _total_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
-    in_r = np.zeros(g.n_vertices, dtype=bool)
-    for v, lab in enumerate(g.labels):
-        if isinstance(lab, Residue):
-            in_r[v] = lab.k % s.p == 0
-        else:
-            in_r[v] = _line_side_in_r(lab.a, lab.b, s.p, s.q)
+    a, b = g.keys().T
+    in_r = np.where(a == b, a % s.p == 0, _line_side_in_r(a, b, s.p, s.q))
     return Bipartition(~in_r)
 
 
@@ -321,7 +316,7 @@ def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, 
         return Exists(g, split(g, shape), source=cid)
     v = isolated_obstruction(g)
     if v is not None:
-        return NotVce(g, IsolatedVertex(v, g.labels[v]))
+        return NotVce(g, IsolatedVertex(v, g.label(v)))
     out = brute_force(g, vertex_cap, isolated_shortcut=False)
     if out.status is SearchStatus.NONE_EXISTS:
         return NotVce(g, ExhaustedSearch(out.partitions_examined))

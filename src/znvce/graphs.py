@@ -45,48 +45,82 @@ _SYMMETRY_TILE = 256
 class LabeledGraph:
     """Simple undirected graph; vertex ids are 0..|V|-1 fixed by label order.
 
-    Adjacency is a dense boolean matrix, frozen after construction. `modulus`
-    records the n the graph derives from and survives the line/total transforms.
+    Adjacency is a dense boolean matrix, frozen after construction. Labels are
+    held as a read-only (|V|, 2) int64 key array: `Residue(k)` is the row
+    (k, k) and `EdgePair(a, b)` the row (a, b), a < b, so the two kinds never
+    share a key. The label objects are built from the keys on first use.
+    `modulus` records the n the graph derives from and survives the
+    line/total transforms.
     """
 
-    __slots__ = ("labels", "adj", "modulus", "_deg", "_id_of", "_names")
+    __slots__ = ("_keys", "adj", "modulus", "_deg", "_labels", "_id_of", "_names")
 
     def __init__(self, labels: Iterable[VertexLabel], adj, modulus: int | None = None):
-        self._init(labels, np.array(adj, dtype=bool), modulus)
+        self._init(_keys_of(labels), np.array(adj, dtype=bool), modulus)
 
     @classmethod
     def _adopt(cls, labels: Iterable[VertexLabel], adj: np.ndarray,
                modulus: int | None = None) -> "LabeledGraph":
         """A graph that takes `adj`, a fresh bool matrix that nothing else
         holds, as its own without the copy `__init__` makes."""
+        return cls._from_keys(_keys_of(labels), adj, modulus)
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, adj: np.ndarray,
+                   modulus: int | None = None) -> "LabeledGraph":
+        """As `_adopt`, from label keys that the graph takes as its own too."""
         g = cls.__new__(cls)
-        g._init(labels, adj, modulus)
+        g._init(keys, adj, modulus)
         return g
 
-    def _init(self, labels: Iterable[VertexLabel], a: np.ndarray, modulus: int | None) -> None:
-        self.labels: tuple[VertexLabel, ...] = tuple(labels)
-        nv = len(self.labels)
+    def _init(self, keys: np.ndarray, a: np.ndarray, modulus: int | None) -> None:
+        nv = len(keys)
+        if keys.shape != (nv, 2):
+            raise ValueError(f"label keys must have shape (|V|, 2), got {keys.shape}")
         if a.shape != (nv, nv):
             raise ValueError(f"adjacency shape {a.shape} does not match {nv} labels")
         if not _is_symmetric(a):
             raise ValueError("adjacency must be symmetric")
         if a.diagonal().any():
             raise ValueError("self-loops are not allowed")
-        self._id_of = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._id_of) != nv:
+        if (keys[:, 0] > keys[:, 1]).any():
+            raise ValueError("label keys must be residues (k, k) or ascending pairs (a, b)")
+        # the rows are distinct iff no two adjacent rows, once sorted, are equal
+        s = keys[np.lexsort((keys[:, 1], keys[:, 0]))]
+        if (s[1:] == s[:-1]).all(axis=1).any():
             raise ValueError("labels must be pairwise distinct")
+        keys.setflags(write=False)
         a.setflags(write=False)
+        self._keys = keys
         self.adj = a
         self.modulus = modulus
         # int32 row sums run about twice as fast as int64 ones; |V| fits
         deg = a.sum(axis=1, dtype=np.int32).astype(np.int64)
         deg.setflags(write=False)
         self._deg = deg
+        self._labels: tuple[VertexLabel, ...] | None = None
+        self._id_of: dict[VertexLabel, int] | None = None
         self._names: tuple[str, ...] | None = None
 
     @property
+    def labels(self) -> tuple[VertexLabel, ...]:
+        """Every label by vertex id; built from the keys on first use only."""
+        if self._labels is None:
+            self._labels = tuple(map(_label, *self._keys.T.tolist()))
+        return self._labels
+
+    def label(self, v: int) -> VertexLabel:
+        """The label of vertex v, without building the others."""
+        return _label(*self._keys[v].tolist())
+
+    def keys(self) -> np.ndarray:
+        """The read-only (|V|, 2) label keys: (k, k) for Residue(k), (a, b)
+        for EdgePair(a, b)."""
+        return self._keys
+
+    @property
     def n_vertices(self) -> int:
-        return len(self.labels)
+        return len(self._keys)
 
     def degrees(self) -> np.ndarray:
         return self._deg
@@ -109,23 +143,59 @@ class LabeledGraph:
         return int(self._deg.sum()) // 2
 
     def id_of(self, label: VertexLabel) -> int:
+        if self._id_of is None:
+            self._id_of = dict(zip(self.labels, range(self.n_vertices)))
         return self._id_of[label]
 
     def names(self) -> tuple[str, ...]:
-        """Every label rendered, by vertex id; rendered on first use only."""
+        """Every label rendered as `render()` does, by vertex id, straight
+        from the keys; rendered on first use only."""
         if self._names is None:
-            self._names = tuple([lab.render() for lab in self.labels])
+            self._names = tuple([str(a) if a == b else f"({a},{b})"
+                                 for a, b in self._keys.tolist()])
         return self._names
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return self.labels == other.labels and bool((self.adj == other.adj).all())
+        return (np.array_equal(self._keys, other._keys)
+                and bool((self.adj == other.adj).all()))
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"LabeledGraph(|V|={self.n_vertices}, |E|={self.n_edges()}, modulus={self.modulus})"
+
+
+def _label(a: int, b: int) -> VertexLabel:
+    return Residue(a) if a == b else EdgePair(a, b)
+
+
+def _int_array(values) -> np.ndarray:
+    """`values` as int64, or as Python ints where int64 cannot hold them
+    (residues read from a file)."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
+def _residue_keys(ks) -> np.ndarray:
+    """The keys of Residue(k) for each k in `ks`."""
+    ks = _int_array(ks)
+    return np.stack([ks, ks], axis=1)
+
+
+def _keys_of(labels: Iterable[VertexLabel]) -> np.ndarray:
+    rows = []
+    for lab in labels:
+        if isinstance(lab, Residue):
+            rows.append((lab.k, lab.k))
+        elif isinstance(lab, EdgePair):
+            rows.append((lab.a, lab.b))
+        else:
+            raise ValueError(f"labels must be Residue or EdgePair, got {type(lab).__name__}")
+    return _int_array(rows).reshape(-1, 2)
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -152,7 +222,7 @@ def _residue_graph(n: int, residues: np.ndarray) -> LabeledGraph:
     # row c of table[:, cls] is a class-c vertex's adjacency row: gather rows
     adj = np.take(table[:, cls], cls, axis=0)
     np.fill_diagonal(adj, False)
-    return LabeledGraph._adopt([Residue(k) for k in vs.tolist()], adj, modulus=n)
+    return LabeledGraph._from_keys(_residue_keys(vs), adj, modulus=n)
 
 
 def gamma(n: int) -> LabeledGraph:
@@ -172,46 +242,45 @@ def non_nilradical_graph(n: int) -> LabeledGraph:
     return _residue_graph(n, zs[zs % rad != 0])
 
 
-def _shared_endpoint_adj(inc: np.ndarray) -> np.ndarray:
-    # inc is the |V| x |E| incidence matrix; distinct edges share at most one endpoint
-    shared = inc.T.astype(np.float32) @ inc.astype(np.float32)
-    adj = shared > 0.5
-    np.fill_diagonal(adj, False)
-    return adj
-
-
-def _edge_vertices(g: LabeledGraph, op: str) -> tuple[list[EdgePair], np.ndarray]:
-    """One EdgePair label per edge of g, in edge order, and g's |V| x |E|
-    incidence matrix; `op` names the caller when g is not residue-labeled."""
-    for lab in g.labels:
-        if not isinstance(lab, Residue):
-            raise DomainError(f"{op} expects a residue-labeled graph, found {type(lab).__name__}")
-    es = g.edges()
-    inc = np.zeros((g.n_vertices, len(es)), dtype=bool)
-    labels = []
-    for k, (i, j) in enumerate(es):
-        inc[i, k] = inc[j, k] = True
-        lo, hi = sorted((g.labels[i].k, g.labels[j].k))
-        labels.append(EdgePair(lo, hi))
-    return labels, inc
+def _edge_vertices(g: LabeledGraph, op: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The keys of g's edges as EdgePair labels, in edge order; g's |V| x |E|
+    incidence matrix; and g's line-graph adjacency, in which two edges are
+    adjacent iff they share an endpoint. `op` names the caller when g is not
+    residue-labeled."""
+    keys = g.keys()
+    if (keys[:, 0] != keys[:, 1]).any():
+        raise DomainError(f"{op} expects a residue-labeled graph, found EdgePair")
+    iu, iv = np.nonzero(np.triu(g.adj))
+    ku, kv = keys[iu, 0], keys[iv, 0]
+    edge_keys = np.stack([np.minimum(ku, kv), np.maximum(ku, kv)], axis=1)
+    inc = np.zeros((g.n_vertices, iu.size), dtype=bool)
+    es = np.arange(iu.size)
+    inc[iu, es] = inc[iv, es] = True
+    # row e of inc[iu] marks the edges at e's first end; OR in those at its
+    # second end, and e itself, which is at both, is no neighbour
+    shared = inc[iu]
+    shared |= inc[iv]
+    np.fill_diagonal(shared, False)
+    return edge_keys, inc, shared
 
 
 def line_graph(g: LabeledGraph) -> LabeledGraph:
     """One vertex per edge of g; adjacency iff the edges share an endpoint."""
-    labels, inc = _edge_vertices(g, "line_graph")
-    return LabeledGraph._adopt(labels, _shared_endpoint_adj(inc), modulus=g.modulus)
+    edge_keys, _, shared = _edge_vertices(g, "line_graph")
+    return LabeledGraph._from_keys(edge_keys, shared, modulus=g.modulus)
 
 
 def total_graph(g: LabeledGraph) -> LabeledGraph:
     """Vertices of g plus edges of g; all vertex-vertex, edge-edge, vertex-edge adjacencies."""
-    edge_labels, inc = _edge_vertices(g, "total_graph")
-    adj = np.block([[g.adj, inc], [inc.T, _shared_endpoint_adj(inc)]])
-    return LabeledGraph._adopt(g.labels + tuple(edge_labels), adj, modulus=g.modulus)
+    edge_keys, inc, shared = _edge_vertices(g, "total_graph")
+    adj = np.block([[g.adj, inc], [inc.T, shared]])
+    return LabeledGraph._from_keys(np.concatenate([g.keys(), edge_keys]), adj,
+                                   modulus=g.modulus)
 
 
 def isolated_vertices(g: LabeledGraph) -> list[VertexLabel]:
     """Labels of all degree-0 vertices, in vertex-id order."""
-    return [g.labels[i] for i in np.flatnonzero(g.degrees() == 0)]
+    return [g.label(v) for v in np.flatnonzero(g.degrees() == 0).tolist()]
 
 
 class GraphFamily(Enum):

@@ -62,7 +62,7 @@ def _unsearched(g: LabeledGraph, t0: float, isolated_shortcut: bool) -> SearchOu
         v = isolated_obstruction(g) if isolated_shortcut else None
         if v is None:
             return None
-        reason = f"isolated vertex {g.labels[v].render()}"
+        reason = f"isolated vertex {g.label(v).render()}"
     return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0, reason=reason)
 
 

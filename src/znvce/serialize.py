@@ -21,6 +21,8 @@ from .graphs import (
     LabeledGraph,
     Residue,
     VertexLabel,
+    _keys_of,
+    _residue_keys,
 )
 from .vce import Bipartition
 
@@ -52,23 +54,24 @@ def _parse_residue(s: str) -> int:
         raise FormatError(f"cannot parse vertex label {s!r}") from None
 
 
-def _parse_labels(entries, family: GraphFamily) -> list[VertexLabel]:
-    """parse_label over a list of entries. Residue labels that are all exact
-    strs or ints are parsed by one map(int); anything else, and pair labels,
-    go through parse_label one entry at a time, which names a bad entry."""
+def _parse_keys(entries, family: GraphFamily) -> np.ndarray:
+    """The label keys (see LabeledGraph) of parse_label over a list of
+    entries. Residue labels that are all exact strs or ints are parsed by one
+    map(int) into keys; anything else, and pair labels, go through
+    parse_label one entry at a time, which names a bad entry."""
     if family in _RESIDUE_FAMILIES and set(map(type, entries)) <= {str, int}:
         try:
-            return list(map(Residue, map(int, entries)))
+            return _residue_keys(list(map(int, entries)))
         except ValueError:
             pass
-    return [parse_label(s, family) for s in entries]
+    return _keys_of([parse_label(s, family) for s in entries])
 
 
 def graph_to_json_obj(g: LabeledGraph, family: GraphFamily) -> dict:
     return {
         "n": g.modulus,
         "family": GraphFamily(family).value,
-        "vertices": [lab.render() for lab in g.labels],
+        "vertices": list(g.names()),
         "edges": [[i, j] for i, j in g.edges()],
     }
 
@@ -106,14 +109,14 @@ def graph_from_json_obj(obj) -> tuple[LabeledGraph, GraphFamily]:
         family = GraphFamily(obj["family"])
     except ValueError:
         raise FormatError(f"unknown graph family {obj['family']!r}") from None
-    labels = _parse_labels(obj["vertices"], family)
-    nv = len(labels)
+    keys = _parse_keys(obj["vertices"], family)
+    nv = len(keys)
     ends = _edge_ends(obj["edges"], nv)
     adj = np.zeros((nv, nv), dtype=bool)
     adj[ends[:, 0], ends[:, 1]] = True
     adj[ends[:, 1], ends[:, 0]] = True
     try:
-        g = LabeledGraph._adopt(labels, adj, modulus=obj.get("n"))
+        g = LabeledGraph._from_keys(keys, adj, modulus=obj.get("n"))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
     return g, family
@@ -148,8 +151,7 @@ def _edge_ends(edges, nv: int) -> np.ndarray:
     return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
-def _dot_name(lab: VertexLabel) -> str:
-    s = lab.render()
+def _dot_name(s: str) -> str:
     return s if s.isdigit() else f'"{s}"'
 
 
@@ -157,18 +159,20 @@ def graph_to_dot(g: LabeledGraph, family: GraphFamily) -> str:
     """Undirected DOT; residue names bare, pair names quoted."""
     name = f"{GraphFamily(family).value}_{g.modulus}".replace("-", "_")
     lines = [f"graph {name} {{"]
-    for lab in g.labels:
-        lines.append(f"  {_dot_name(lab)};")
+    dot_names = [_dot_name(s) for s in g.names()]
+    for s in dot_names:
+        lines.append(f"  {s};")
     for i, j in g.edges():
-        lines.append(f"  {_dot_name(g.labels[i])} -- {_dot_name(g.labels[j])};")
+        lines.append(f"  {dot_names[i]} -- {dot_names[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def partition_to_json_obj(g: LabeledGraph, part: Bipartition) -> dict:
+    names = g.names()
     return {
-        "R": [g.labels[int(i)].render() for i in part.r_ids],
-        "B": [g.labels[int(i)].render() for i in part.b_ids],
+        "R": [names[i] for i in part.r_ids.tolist()],
+        "B": [names[i] for i in part.b_ids.tolist()],
     }
 
 

@@ -466,6 +466,28 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "exceeds the limit of 62" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["build", "10000", "--family", "line-of-gamma", "--format", "json"],
+        ["construct", "10000", "--family", "line-of-gamma"],
+        ["search", "--n", "10000", "--family", "line-of-gamma"],
+        ["survey", "10000", "10000", "--families", "line-of-gamma"],
+    ])
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 2.61 GiB for an array with shape (52920, 52920) "
+                    "and data type bool"),
+        MemoryError(),
+    ])
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys, argv, exc):
+        def no_memory(n, family):
+            raise exc
+        monkeypatch.setattr(cli, "build_family", no_memory)
+        monkeypatch.setattr(constructions, "build_family", no_memory)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: out of memory")
+        assert str(exc) in captured.err
+
     def test_local_bad_seed_errors_without_traceback(self, capsys):
         for flags in (["--seed", "-1"], ["--restarts", "0"], ["--steps", "0"],
                       ["--restarts", "-1"], ["--steps", "-4"]):

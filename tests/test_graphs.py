@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,82 @@ def test_adopted_adjacency_is_checked_and_kept():
     for labels, adj in bad:
         with pytest.raises(ValueError):
             LabeledGraph._adopt(labels, adj)
+    # the key constructor adopts its keys too, and checks the same four faults
+    keys, a = np.array([[1, 1], [1, 2]]), np.array([[False, True], [True, False]])
+    g = LabeledGraph._from_keys(keys, a)
+    assert g.keys() is keys and g.adj is a and not (keys.flags.writeable or a.flags.writeable)
+    assert g.labels == (Residue(1), EdgePair(1, 2))
+    bad_keys = [
+        (np.array([[1, 1], [1, 1]]), np.zeros((2, 2), dtype=bool)),
+        (np.array([[1, 2], [3, 4], [1, 2]]), np.zeros((3, 3), dtype=bool)),
+        (np.array([[1, 1], [2, 2]]), np.array([[False, True], [False, False]])),
+        (np.array([[1, 1]]), np.array([[True]])),
+        (np.array([[1, 1], [2, 2]]), np.zeros((3, 3), dtype=bool)),
+        (np.array([[1, 1], [2, 2]]), np.zeros((2, 3), dtype=bool)),
+    ]
+    for keys, adj in bad_keys:
+        with pytest.raises(ValueError):
+            LabeledGraph._from_keys(keys, adj)
+
+
+def test_keys_must_be_residues_or_ascending_pairs():
+    for keys in ([[2, 1]], [[1, 2, 3]], [1, 2]):
+        with pytest.raises(ValueError):
+            LabeledGraph._from_keys(np.array(keys), np.zeros((1, 1), dtype=bool))
+
+
+def test_residue_and_pair_keys_never_collide():
+    span = range(-3, 6)
+    residues = [Residue(k) for k in span]
+    pairs = [EdgePair(a, b) for a in span for b in span if a < b]
+    labels = residues + pairs
+    g = LabeledGraph(labels, np.zeros((len(labels), len(labels)), dtype=bool))
+    ks = g.keys()
+    assert (ks[:len(residues), 0] == ks[:len(residues), 1]).all()
+    assert (ks[len(residues):, 0] < ks[len(residues):, 1]).all()
+    assert len({tuple(k) for k in ks.tolist()}) == len(labels)
+    rebuilt = LabeledGraph._from_keys(ks.copy(), g.adj.copy())
+    assert rebuilt.labels == tuple(labels)
+    assert [rebuilt.label(v) for v in range(len(labels))] == labels
+
+
+def test_residues_past_int64_keep_their_labels():
+    big = [Residue(10**30), Residue(-10**30), Residue(3)]
+    g = LabeledGraph(big, np.zeros((3, 3), dtype=bool))
+    assert g.labels == tuple(big) and g.names() == (str(10**30), str(-10**30), "3")
+    assert LabeledGraph._from_keys(g.keys().copy(), g.adj.copy()).labels == tuple(big)
+    with pytest.raises(ValueError):
+        LabeledGraph(big + [Residue(10**30)], np.zeros((4, 4), dtype=bool))
+
+
+def test_object_constructor_rebuilds_every_family_graph():
+    # labels and keys are two views of one thing: rebuilding a graph from its
+    # label objects gives the same graph, names and ids
+    for family in GraphFamily:
+        for n in range(2, 201):
+            g = build_family(n, family)
+            r = LabeledGraph(g.labels, g.adj, modulus=g.modulus)
+            assert r == g and r.names() == g.names()
+            assert np.array_equal(r.keys(), g.keys())
+            assert r.names() == tuple(lab.render() for lab in g.labels)
+            ids = list(range(g.n_vertices))
+            assert [r.id_of(lab) for lab in g.labels] == ids
+            assert [g.id_of(lab) for lab in r.labels] == ids
+
+
+def test_line_graph_memory_stays_near_two_edge_squared_bools():
+    # the shared-endpoint adjacency is an OR of two incidence gathers, |E|^2
+    # bools each; a float32 or wider integer |E| x |E| product would pass 4|E|^2
+    g = gamma(1500)
+    ne = g.n_edges()
+    tracemalloc.start()
+    try:
+        lg = line_graph(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lg.n_vertices == ne
+    assert peak < 3 * ne * ne
 
 
 _T = _SYMMETRY_TILE
