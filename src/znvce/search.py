@@ -25,10 +25,11 @@ _LO_BITS, _HI_ROWS, _MAX_FREE = 12, 4, 62
 # array, and tabulates the vectors of its low classes up to _LO_VECTORS of them
 _BLOCK_BYTES, _LO_VECTORS = 1 << 18, 1 << 10
 
-# a refuter node costs about as much as 500 masks of the kernel (2-core Xeon),
-# so a node budget of 1/2^_REFUTE_SHIFT of the masks left to scan, but at
-# least _REFUTE_MIN, costs a refuter that gives up about 3% of the scan
-_REFUTE_SHIFT, _REFUTE_MIN = 14, 64
+# a refuter branch node costs about as much as 2000 masks of the kernel
+# (23 us against 80 M masks/s, 2-core Xeon), so a node budget of
+# 1/2^_REFUTE_SHIFT of the masks left to scan, but at least _REFUTE_MIN,
+# costs a refuter that gives up about 3% of the scan
+_REFUTE_SHIFT, _REFUTE_MIN = 16, 16
 
 
 class SearchStatus(Enum):
@@ -78,63 +79,117 @@ def _all_negative(own: np.ndarray, other: np.ndarray, sign: np.ndarray) -> np.nd
     return np.logical_and.reduce(x < 0, axis=0)
 
 
-def _refutes(adj: np.ndarray, budget: int | None = None) -> bool:
-    """Whether a depth-first search over side assignments proves that no
-    bipartition of `adj` is very cost effective; False when it finds one or
-    tries more than `budget` assignments (None: no limit).
+def _components(nbrs: list[list[int]]) -> list[list[int]]:
+    """The connected components, each as a list of vertex ids, smallest
+    component first (ties by smallest vertex)."""
+    seen = [False] * len(nbrs)
+    comps = []
+    for root in range(len(nbrs)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for u in nbrs[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    comp.append(u)
+        comps.append(comp)
+    return sorted(comps, key=len)
 
-    Swapping the sides keeps a bipartition very cost effective, so a vertex
-    of the largest degree is pinned to R. The next vertex is the unassigned
-    one with the most assigned neighbours, then the largest degree, tried
-    first on the side where it has fewer of them. Assigned-neighbour counts
-    per side are updated on each assignment. A branch dies once an assigned
-    vertex has 2 * same >= deg, which more assignments can only keep, or an
-    unassigned vertex would have it on both sides.
+
+def _refute(adj: np.ndarray, budget: int | None = None) -> bool:
+    """Whether forced-side propagation and a depth-first search prove that
+    no bipartition of `adj` is very cost effective; False when a component
+    has a very-cost-effective assignment of its own or the search has tried
+    `budget` branch nodes (None: no limit) without a proof.
+
+    A vertex of degree d may have at most (d - 1) // 2 neighbours on its own
+    side. An unassigned vertex over that limit on one side is forced to the
+    other, and an assigned vertex at its limit forces its unassigned
+    neighbours to the other side; propagation runs to a fixed point or a
+    conflict. Swapping the sides of one connected component keeps a
+    bipartition very cost effective, so each component, smallest first, pins
+    a vertex of the largest degree to R and is searched on its own: the
+    graph is refuted as soon as one component is. Past the propagation, a
+    branch node assigns the unassigned vertex with the least room left on
+    its roomier side (then the most assigned neighbours, the largest degree,
+    the smallest id), trying that side first. Branching keeps an explicit
+    stack of undo marks, so no chain of assignments can hit Python's
+    recursion limit. With a budget of 0 only the pins' propagation runs.
     """
-    nv = adj.shape[0]
-    nbrs = [np.flatnonzero(row).tolist() for row in adj]
-    deg = [len(ns) for ns in nbrs]
-    side = [-1] * nv
-    count = ([0] * nv, [0] * nv)  # assigned neighbours on R, on B
-    nodes = 1  # the pinned vertex
+    ends = np.cumsum(adj.sum(axis=1)).tolist()
+    cols = np.nonzero(adj)[1].tolist()
+    nbrs = [cols[a:b] for a, b in zip([0] + ends, ends)]
+    lim = [(len(ns) - 1) // 2 for ns in nbrs]
+    side = [-1] * len(nbrs)
+    count = ([0] * len(nbrs), [0] * len(nbrs))  # assigned neighbours on R, on B
+    trail: list[int] = []  # assigned vertices, in order, for undoing
 
-    def place(v: int, s: int) -> bool:
-        # assign v to side s; whether no vertex has failed yet
-        side[v] = s
-        same, other = count[s], count[1 - s]
-        for u in nbrs[v]:
-            same[u] += 1
-        ok = 2 * same[v] < deg[v]
-        for u in nbrs[v]:
-            if 2 * same[u] >= deg[u] and (side[u] == s or side[u] < 0 and 2 * other[u] >= deg[u]):
-                ok = False
-        return ok
+    def assign(v: int, s: int) -> bool:
+        # put v on side s and propagate; False on a conflict
+        todo = [(v, s)]
+        while todo:
+            v, s = todo.pop()
+            if side[v] >= 0:
+                if side[v] != s:
+                    return False
+                continue
+            side[v] = s
+            trail.append(v)
+            same = count[s]
+            for u in nbrs[v]:
+                same[u] += 1
+            if same[v] > lim[v]:
+                return False
+            full = [v] if same[v] == lim[v] else []
+            for u in nbrs[v]:
+                if side[u] == s:
+                    if same[u] > lim[u]:
+                        return False
+                    if same[u] == lim[u]:
+                        full.append(u)
+                elif side[u] < 0 and same[u] > lim[u]:
+                    todo.append((u, 1 - s))
+            for w in full:
+                todo.extend((u, 1 - s) for u in nbrs[w] if side[u] < 0)
+        return True
 
-    def unplace(v: int, s: int) -> None:
-        side[v] = -1
-        for u in nbrs[v]:
-            count[s][u] -= 1
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            v = trail.pop()
+            dec = count[side[v]]
+            side[v] = -1
+            for u in nbrs[v]:
+                dec[u] -= 1
 
-    def completes(n_set: int) -> bool:
-        # whether the n_set assignments so far extend to a very-cost-effective
-        # bipartition, or the budget ran out; either way the search is over,
-        # so the state is not restored
-        nonlocal nodes
-        if n_set == nv:
-            return True
-        r, b = count
-        _, v = max(((r[u] + b[u]) * nv + deg[u], u) for u in range(nv) if side[u] < 0)
-        first = int(r[v] > b[v])
-        for s in (first, 1 - first):
+    nodes = 0
+    for comp in _components(nbrs):
+        ok = assign(max(comp, key=lambda v: len(nbrs[v])), 0)
+        stack: list[tuple[int, int, int]] = []  # (undo mark, vertex, side left to try)
+        while True:
+            if ok:
+                r, b = count
+                free = [(max(lim[u] - r[u], lim[u] - b[u]), -r[u] - b[u], -len(nbrs[u]), u)
+                        for u in comp if side[u] < 0]
+                if not free:
+                    break  # this component has a very-cost-effective assignment
+                v = min(free)[3]
+                s = int(r[v] > b[v])
+                stack.append((len(trail), v, 1 - s))
+            else:
+                while stack and stack[-1][2] < 0:
+                    stack.pop()
+                if not stack:
+                    return True
+                mark, v, s = stack[-1]
+                stack[-1] = (mark, v, -1)
+                undo(mark)
+            if budget is not None and nodes >= budget:
+                break
             nodes += 1
-            if budget is not None and nodes > budget:
-                return True
-            if place(v, s) and completes(n_set + 1):
-                return True
-            unplace(v, s)
-        return False
-
-    return not (place(max(range(nv), key=deg.__getitem__), 0) and completes(1))
+            ok = assign(v, s)
+    return False
 
 
 def _first_vce_mask(adj: np.ndarray, pinned: int) -> int | None:
@@ -146,10 +201,12 @@ def _first_vce_mask(adj: np.ndarray, pinned: int) -> int | None:
     low and high mask bits. Rows whose side the low bits fix take s * m_lo
     from the low table and multiply m_hi by their sign; high rows the reverse.
 
-    A scan that reaches the first eighth of the high values without a hit
-    (from 2^17 masks up, where that is a block boundary) asks _refutes once,
-    with a node budget of 1/2^_REFUTE_SHIFT of the masks still to scan, and
-    stops there when it proves that no mask is very cost effective.
+    A scan of 2^17 masks or more, where the first eighth of the high values
+    is a block boundary, asks _refute twice and stops as soon as it proves
+    that no mask is very cost effective: before the first mask with a budget
+    of no branch nodes, so only propagation from the pinned vertices runs,
+    and on reaching that eighth without a hit with a node budget of
+    1/2^_REFUTE_SHIFT of the masks still to scan.
     """
     nv = adj.shape[0]
     a2 = 2 * adj.astype(np.int16)
@@ -164,8 +221,10 @@ def _first_vce_mask(adj: np.ndarray, pinned: int) -> int | None:
                       2 * _bits(np.arange(1 << n_lo), n_lo) - 1])
     own_lo = s_lo * m_lo[:split]
     refute_at = (1 << n_hi) >> 3
+    if refute_at >= _HI_ROWS and _refute(adj, 0):
+        return None
     for h0 in range(0, 1 << n_hi, _HI_ROWS):
-        if h0 and h0 == refute_at and _refutes(
+        if h0 and h0 == refute_at and _refute(
                 adj, max(_REFUTE_MIN, ((1 << n_hi) - h0) << n_lo >> _REFUTE_SHIFT)):
             return None
         hi_bits = _bits(np.arange(h0, min(h0 + _HI_ROWS, 1 << n_hi)), n_hi)
@@ -202,11 +261,12 @@ def brute_force(
     stays bounded whatever the cap. More than 62 free vertices is a
     DomainError, raised before anything is allocated.
 
-    A scan with no hit in its first eighth tries, once and with a bounded
-    budget, an exact depth-first refutation that prunes by neighbour counts.
-    So the count of a NoneExists outcome covers every mask, each one either
-    evaluated or ruled out by a neighbour-count bound; a refuter that gives
-    up leaves the scan to go on where it stopped.
+    A scan of 2^17 masks or more first tries to refute the graph by
+    forced-side propagation alone, and again, with a bounded number of
+    branch nodes, if its first eighth has no hit. So the count of a
+    NoneExists outcome covers every mask, each one either evaluated or ruled
+    out by a neighbour-count bound; a refuter that gives up leaves the scan
+    to go on where it stopped.
     """
     t0 = perf_counter()
     out = _unsearched(g, t0, isolated_shortcut)

@@ -21,6 +21,7 @@ from znvce import (
     total_graph,
     zero_divisors,
 )
+from znvce import graphs
 from znvce.graphs import _SYMMETRY_TILE
 
 GAMMA_16_EDGES = {(2, 8), (4, 8), (4, 12), (6, 8), (8, 10), (8, 12), (8, 14)}
@@ -303,6 +304,38 @@ def test_line_graph_memory_stays_near_two_edge_squared_bools():
         tracemalloc.stop()
     assert lg.n_vertices == ne
     assert peak < 3 * ne * ne
+
+
+def test_total_graph_memory_stays_near_one_adjacency():
+    # the blocks are written into one preallocated (|V|+|E|)^2 matrix, a
+    # bounded block of rows at a time; assembling them with np.block after
+    # building the |E| x |E| block on its own peaks near 1.9 (|V|+|E|)^2
+    g = gamma(600)
+    tracemalloc.start()
+    try:
+        t = total_graph(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.n_vertices == g.n_vertices + g.n_edges()
+    assert peak < 1.4 * t.n_vertices ** 2
+
+
+@pytest.mark.parametrize("gather_bytes", [graphs._GATHER_BYTES, 200])
+def test_line_and_total_graphs_match_the_block_definition(monkeypatch, gather_bytes):
+    # incidence from the edge list, shared endpoints from its product, and
+    # the total graph as np.block of the four, for every n in 2..120; with
+    # 200 bytes the shared block is gathered in blocks of one to a few rows
+    monkeypatch.setattr(graphs, "_GATHER_BYTES", gather_bytes)
+    for n in range(2, 121):
+        g = gamma(n)
+        inc = np.zeros((g.n_vertices, g.n_edges()), dtype=bool)
+        for e, (i, j) in enumerate(g.edges()):
+            inc[[i, j], e] = True
+        shared = inc.T.astype(np.int64) @ inc.astype(np.int64) > 0
+        np.fill_diagonal(shared, False)
+        assert np.array_equal(line_graph(g).adj, shared), n
+        assert np.array_equal(total_graph(g).adj, np.block([[g.adj, inc], [inc.T, shared]])), n
 
 
 _T = _SYMMETRY_TILE

@@ -189,18 +189,51 @@ def test_shortcut_never_changes_the_answer(nv, seed):
     assert with_cut.status is without.status
 
 
-@given(st.integers(2, 12), st.integers(0, 10_000),
-       st.sampled_from(["sparse", "dense", "complete", "isolated"]))
-@settings(max_examples=150, deadline=None)
-def test_refuter_matches_reference_enumeration(nv, seed, kind):
+def _refuter_graph(nv: int, seed: int, kind: str) -> np.ndarray:
     if kind == "complete":
-        adj = complete_graph(nv).adj
-    else:
-        adj = random_graph(nv, seed=seed, p={"sparse": 0.2, "dense": 0.75}.get(kind, 0.4)).adj
-        if kind == "isolated":
-            adj = adj.copy()
-            adj[seed % nv, :] = adj[:, seed % nv] = False
-    assert search._refutes(adj) is not ref_has_vce(adj)
+        return complete_graph(nv).adj
+    if kind in ("components", "odd-clique"):
+        # a random graph beside a second random one or beside a K_3 or K_5
+        k = 3 + 2 * (seed % 2) if kind == "odd-clique" else nv // 2
+        k = min(k, nv - 1)
+        adj = np.zeros((nv, nv), dtype=bool)
+        adj[:nv - k, :nv - k] = random_graph(nv - k, seed=seed, p=0.5).adj
+        adj[nv - k:, nv - k:] = (~np.eye(k, dtype=bool) if kind == "odd-clique"
+                                 else random_graph(k, seed=seed + 1, p=0.6).adj)
+        return adj
+    adj = random_graph(nv, seed=seed, p={"sparse": 0.2, "dense": 0.75}.get(kind, 0.4)).adj
+    if kind == "isolated":
+        adj = adj.copy()
+        adj[seed % nv, :] = adj[:, seed % nv] = False
+    return adj
+
+
+@given(st.integers(2, 12), st.integers(0, 10_000),
+       st.sampled_from(["sparse", "dense", "complete", "isolated", "components", "odd-clique"]),
+       st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_refuter_matches_reference_enumeration(nv, seed, kind, budget):
+    # with no budget the refuter is exact; with any budget it is sound, as a
+    # search that runs out of nodes proves nothing
+    adj = _refuter_graph(nv, seed, kind)
+    has_vce = ref_has_vce(adj)
+    assert search._refute(adj) is not has_vce
+    assert not (has_vce and search._refute(adj, budget))
+
+
+def _cycle(nv: int) -> np.ndarray:
+    adj = np.zeros((nv, nv), dtype=bool)
+    v = np.arange(nv)
+    adj[v, (v + 1) % nv] = adj[(v + 1) % nv, v] = True
+    return adj
+
+
+def test_refuter_on_long_cycles():
+    # a vertex of degree 2 may have no neighbour on its own side, so a cycle
+    # has a very-cost-effective bipartition iff it is even; propagation from
+    # the pin walks the whole cycle with no branch node and no recursion
+    assert search._refute(_cycle(2001), 0)
+    assert not search._refute(_cycle(2000))
 
 
 def _outcome(out) -> tuple:
@@ -226,59 +259,78 @@ def _survey_graphs_within_the_cap():
 
 
 class TestRefuter:
-    """The bounded refutation that brute_force tries once in a long scan: it
-    may only make exhaustive negatives faster, never change an outcome."""
+    """The bounded refutation that brute_force tries in a long scan, by
+    propagation alone before the first mask and with a node budget at the
+    first eighth: it may only make exhaustive negatives faster, never change
+    an outcome."""
 
     @staticmethod
-    def _spy(monkeypatch, decide=search._refutes) -> list[bool]:
+    def _spy(monkeypatch, decide=search._refute) -> list[tuple[int, int | None, bool]]:
+        # one (|V|, budget, result) per call
         calls = []
 
         def spy(adj, budget=None):
-            calls.append(decide(adj, budget))
-            return calls[-1]
-        monkeypatch.setattr(search, "_refutes", spy)
+            calls.append((adj.shape[0], budget, decide(adj, budget)))
+            return calls[-1][2]
+        monkeypatch.setattr(search, "_refute", spy)
         return calls
 
     def _assert_same_outcomes(self, monkeypatch, graphs, symmetry_reduction):
-        def run():
-            return [_outcome(brute_force(g, symmetry_reduction=symmetry_reduction,
-                                         isolated_shortcut=False)) for g in graphs]
-        calls = self._spy(monkeypatch)
-        live = run()
-        self._spy(monkeypatch, lambda adj, budget=None: False)
-        assert run() == live
-        return calls
+        """The refuter's calls for each graph, after checking that stubbing
+        it to give up leaves every outcome as it was."""
+        def run(calls):
+            outcomes, per_graph = [], []
+            for g in graphs:
+                before = len(calls)
+                outcomes.append(_outcome(brute_force(g, symmetry_reduction=symmetry_reduction,
+                                                     isolated_shortcut=False)))
+                per_graph.append(calls[before:])
+            return outcomes, per_graph
+
+        live, per_graph = run(self._spy(monkeypatch))
+        stubbed, _ = run(self._spy(monkeypatch, lambda adj, budget=None: False))
+        assert stubbed == live
+        return per_graph
 
     @pytest.mark.parametrize("symmetry_reduction", [True, False])
     def test_survey_outcomes_unchanged(self, monkeypatch, symmetry_reduction):
         graphs = list(_survey_graphs_within_the_cap())
         assert len(graphs) == 152
-        calls = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
-        assert True in calls and False in calls
+        per_graph = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
+        results = [r for calls in per_graph for _, _, r in calls]
+        assert True in results and False in results
 
     @pytest.mark.parametrize("symmetry_reduction", [True, False])
     def test_random_outcomes_unchanged(self, monkeypatch, symmetry_reduction):
-        # the refuter starts from a vertex of the largest degree: beside a
-        # sparse graph that lies in the K_7, which it refutes; beside a denser
-        # one it lies outside the K_5, and the refuter gives up
+        # each component is searched on its own, smallest first, so a K_5
+        # (4 branch nodes) is refuted whatever lies beside it, once the scan
+        # is long enough (18 vertices up) to call the refuter at all
         graphs = [g for nv in range(16, 25, 2)
                   for g in (random_graph(nv, seed=nv), random_graph(nv, seed=nv, p=0.7),
                             _with_odd_clique(nv, nv, 5, 0.4), _with_odd_clique(nv, nv, 7, 0.15))]
-        calls = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
-        assert True in calls and False in calls
+        per_graph = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
+        k5 = per_graph[2::4]
+        assert k5[0] == [] and [calls[-1][2] for calls in k5[1:]] == [True] * 4
+        results = [r for calls in per_graph for _, _, r in calls]
+        assert True in results and False in results
 
-    @pytest.mark.parametrize("n, examined", [(18, 8_388_607), (26, 16_777_215)])
-    def test_decides_total_of_gamma(self, monkeypatch, n, examined):
+    @pytest.mark.parametrize("n, examined", [(18, 8_388_607), (22, 1_048_575),
+                                             (26, 16_777_215)])
+    def test_decides_total_of_gamma_by_propagation(self, monkeypatch, n, examined):
+        g = build_family(n, GraphFamily.TOTAL_OF_GAMMA)
         calls = self._spy(monkeypatch)
-        out = brute_force(build_family(n, GraphFamily.TOTAL_OF_GAMMA))
-        assert calls == [True]
+        out = brute_force(g)
+        assert calls == [(g.n_vertices, 0, True)]
         assert _outcome(out) == (SearchStatus.NONE_EXISTS, examined, None,
                                  "enumeration exhausted")
 
-    def test_survey_27_to_39_never_calls_it(self, monkeypatch):
+    def test_survey_27_to_39_never_branches(self, monkeypatch):
+        # only the propagation pass runs, and only on scans of 2^17 masks or
+        # more: 18 vertices or more, one of them pinned
         calls = self._spy(monkeypatch)
         cmd_survey(27, 39)
-        assert calls == []
+        assert calls
+        assert all(budget == 0 and nv - 1 >= 17 for nv, budget, _ in calls)
 
 
 class TestLocalSearch:
