@@ -71,9 +71,7 @@ def cmd_check(graph_path: str, partition_path: str) -> tuple[str, int]:
             g, family = graph_from_json(fh.read())
         with open(partition_path) as fh:
             part = partition_from_json(fh.read(), g, family)
-    except OSError as exc:
-        return f"error: {exc}\n", 3
-    except (FormatError, PartitionError) as exc:
+    except (OSError, FormatError, PartitionError) as exc:
         return f"error: {exc}\n", 3
     report = check_bipartition(g, part)
     names = g.names()
@@ -113,9 +111,7 @@ def cmd_search(
             out = brute_force(g, vertex_cap=cap)
             if out.status is SearchStatus.INCONCLUSIVE:
                 out = class_search(g, class_budget(cap))
-    except OSError as exc:
-        return f"error: {exc}\n", 2
-    except (FormatError, DomainError) as exc:
+    except (OSError, FormatError, DomainError) as exc:
         return f"error: {exc}\n", 2
     lines = [f"status: {out.status.value}",
              f"examined: {out.partitions_examined}"]

@@ -64,16 +64,10 @@ class LabeledGraph:
         self._init(_keys_of(labels), np.array(adj, dtype=bool), modulus)
 
     @classmethod
-    def _adopt(cls, labels: Iterable[VertexLabel], adj: np.ndarray,
-               modulus: int | None = None) -> "LabeledGraph":
-        """A graph that takes `adj`, a fresh bool matrix that nothing else
-        holds, as its own without the copy `__init__` makes."""
-        return cls._from_keys(_keys_of(labels), adj, modulus)
-
-    @classmethod
     def _from_keys(cls, keys: np.ndarray, adj: np.ndarray,
                    modulus: int | None = None) -> "LabeledGraph":
-        """As `_adopt`, from label keys that the graph takes as its own too."""
+        """A graph that takes `keys` and `adj`, a fresh bool matrix that
+        nothing else holds, as its own without the copies `__init__` makes."""
         g = cls.__new__(cls)
         g._init(keys, adj, modulus)
         return g

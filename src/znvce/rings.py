@@ -56,14 +56,7 @@ def factorize(n: int) -> Factorization:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
+    return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
 def zero_divisors(n: int) -> np.ndarray:

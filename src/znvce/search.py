@@ -16,20 +16,20 @@ from .vce import Bipartition
 
 DEFAULT_VERTEX_CAP = 26
 
-# the low _LO_BITS mask bits are tabulated once per call and the high bits are
-# walked _HI_ROWS values at a time: blocks of 2^14 candidates were the fastest
-# of 2^12..2^18 tried (2-core Xeon); masks are int64, so at most _MAX_FREE bits
-_LO_BITS, _HI_ROWS, _MAX_FREE = 12, 4, 62
+# _first_vce tabulates up to _LO_VECTORS low vectors once per call (more only
+# when class 0 alone has more digits) and checks them against a few high
+# vectors at a time, about _BLOCK candidates in all (2^12 and 2^14 were the
+# fastest of 2^11..2^13 and 2^13..2^16 tried on masks, 2-core Xeon); the high
+# vectors' sums are gathered _HI_CHUNK at a time. Indices are int64, so a
+# space spans at most 2^_MAX_FREE vectors
+_LO_VECTORS, _BLOCK, _HI_CHUNK, _MAX_FREE = 1 << 12, 1 << 14, 1 << 8, 62
 
-# class_search checks candidates in blocks of at most _BLOCK_BYTES per
-# array, and tabulates the vectors of its low classes up to _LO_VECTORS of them
-_BLOCK_BYTES, _LO_VECTORS = 1 << 18, 1 << 10
-
-# a refuter branch node costs about as much as 2000 masks of the kernel
-# (23 us against 80 M masks/s, 2-core Xeon), so a node budget of
+# brute_force asks the refuter on scans of _REFUTE_FROM masks or more. A
+# branch node costs about as much as 2500 masks of the kernel (11 us against
+# 230 M masks/s on total-of-gamma(49), 2-core Xeon), so a node budget of
 # 1/2^_REFUTE_SHIFT of the masks left to scan, but at least _REFUTE_MIN,
-# costs a refuter that gives up about 3% of the scan
-_REFUTE_SHIFT, _REFUTE_MIN = 16, 16
+# costs a refuter that gives up about 4% of the scan
+_REFUTE_FROM, _REFUTE_SHIFT, _REFUTE_MIN = 1 << 17, 16, 16
 
 
 class SearchStatus(Enum):
@@ -65,18 +65,6 @@ def _unsearched(g: LabeledGraph, t0: float, isolated_shortcut: bool) -> SearchOu
             return None
         reason = f"isolated vertex {g.label(v).render()}"
     return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0, reason=reason)
-
-
-def _bits(values: np.ndarray, width: int) -> np.ndarray:
-    """(width, len(values)) int16 matrix: row i holds bit i of each value."""
-    return ((values[None, :] >> np.arange(width)[:, None]) & 1).astype(np.int16)
-
-
-def _all_negative(own: np.ndarray, other: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Per candidate, whether own + other * sign < 0 on every vertex row (axis 0)."""
-    x = other * sign
-    x += own
-    return np.logical_and.reduce(x < 0, axis=0)
 
 
 def _components(nbrs: list[list[int]]) -> list[list[int]]:
@@ -192,54 +180,6 @@ def _refute(adj: np.ndarray, budget: int | None = None) -> bool:
     return False
 
 
-def _first_vce_mask(adj: np.ndarray, pinned: int) -> int | None:
-    """Smallest mask whose bipartition is very cost effective, or None.
-
-    Bit i of a mask puts vertex pinned + i on side B; vertices below pinned
-    stay on R. Vertex v passes when s(v) * m(v) < 0, with s = +1 on B and -1
-    on R, and margin m = 2|N(v) & B| - deg(v) = m_lo + m_hi split over the
-    low and high mask bits. Rows whose side the low bits fix take s * m_lo
-    from the low table and multiply m_hi by their sign; high rows the reverse.
-
-    A scan of 2^17 masks or more, where the first eighth of the high values
-    is a block boundary, asks _refute twice and stops as soon as it proves
-    that no mask is very cost effective: before the first mask with a budget
-    of no branch nodes, so only propagation from the pinned vertices runs,
-    and on reaching that eighth without a hit with a node budget of
-    1/2^_REFUTE_SHIFT of the masks still to scan.
-    """
-    nv = adj.shape[0]
-    a2 = 2 * adj.astype(np.int16)
-    n_lo = min(nv - pinned, _LO_BITS)
-    split, n_hi = pinned + n_lo, nv - pinned - n_lo
-    # m_lo of every vertex for every low value, by doubling over the low bits
-    m_lo = np.empty((nv, 1 << n_lo), dtype=np.int16)
-    m_lo[:, 0] = -adj.sum(axis=1)
-    for i in range(n_lo):
-        m_lo[:, 1 << i: 2 << i] = m_lo[:, : 1 << i] + a2[:, pinned + i, None]
-    s_lo = np.vstack([np.full((pinned, 1 << n_lo), -1, dtype=np.int16),
-                      2 * _bits(np.arange(1 << n_lo), n_lo) - 1])
-    own_lo = s_lo * m_lo[:split]
-    refute_at = (1 << n_hi) >> 3
-    if refute_at >= _HI_ROWS and _refute(adj, 0):
-        return None
-    for h0 in range(0, 1 << n_hi, _HI_ROWS):
-        if h0 and h0 == refute_at and _refute(
-                adj, max(_REFUTE_MIN, ((1 << n_hi) - h0) << n_lo >> _REFUTE_SHIFT)):
-            return None
-        hi_bits = _bits(np.arange(h0, min(h0 + _HI_ROWS, 1 << n_hi)), n_hi)
-        m_hi, s_hi = a2[:, split:] @ hi_bits, 2 * hi_bits - 1
-        # ok[h, lo] over candidates (h0 + h, lo); with no high rows the second
-        # reduction is over zero rows and is all True
-        ok = (_all_negative(own_lo[:, None, :], m_hi[:split, :, None], s_lo[:, None, :])
-              & _all_negative((s_hi * m_hi[split:])[:, :, None], m_lo[split:, None, :],
-                              s_hi[:, :, None]))
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            return (h0 << n_lo) + int(hit[0])
-    return None
-
-
 def brute_force(
     g: LabeledGraph,
     vertex_cap: int = DEFAULT_VERTEX_CAP,
@@ -255,11 +195,12 @@ def brute_force(
     1 .. 2^|V| - 2. A found partition is the first in this order and
     partitions_examined is its mask, so runs are deterministic either way.
 
-    The kernel tabulates the margins of the low 12 mask bits once per call
-    and those of the high bits a few values at a time, so each candidate
-    costs one add, one sign multiply and one compare per vertex, and memory
-    stays bounded whatever the cap. More than 62 free vertices is a
-    DomainError, raised before anything is allocated.
+    The scan is the class search's kernel, _first_vce, run over singleton
+    classes: a class of radix 2 per free vertex and of radix 1 for a pinned
+    one, so a vector's index is its mask. Each candidate costs one add and
+    one bitwise OR per vertex, and memory stays bounded whatever the cap.
+    More than 62 free vertices is a DomainError, raised before anything is
+    allocated.
 
     A scan of 2^17 masks or more first tries to refute the graph by
     forced-side propagation alone, and again, with a bounded number of
@@ -283,9 +224,26 @@ def brute_force(
                           f"{free} exceeds the limit of {_MAX_FREE}")
     # mask 0 (all on R) and the all-B mask are never very cost effective, so
     # scanning them changes no outcome; the examined count starts at mask 1
-    mask = _first_vce_mask(g.adj, pinned)
+    ones = np.ones(nv, dtype=np.int64)
+    radix = np.full(nv, 2)
+    radix[:pinned] = 1
+
+    def scan(start: int, stop: int) -> int | None:
+        return _first_vce(g.adj, ones, ones == 0, radix, start, stop)
+
+    space = 1 << free
+    if space < _REFUTE_FROM:
+        mask = scan(0, space)
+    elif _refute(g.adj, 0):
+        mask = None
+    else:
+        eighth = space >> 3
+        mask = scan(0, eighth)
+        if mask is None and not _refute(
+                g.adj, max(_REFUTE_MIN, (space - eighth) >> _REFUTE_SHIFT)):
+            mask = scan(eighth, space)
     if mask is None:
-        last = (1 << free) - 1 if symmetry_reduction else (1 << free) - 2
+        last = space - 1 if symmetry_reduction else space - 2
         return SearchOutcome(SearchStatus.NONE_EXISTS, None, last, perf_counter() - t0,
                              reason="enumeration exhausted")
     in_b = np.zeros(nv, dtype=bool)
@@ -412,12 +370,12 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     only when 2t = D + 1 for its B members. The search enumerates the vectors
     of per-class B-counts b_i, 0 or m_i for an independent class of m_i
     members and 0..m_i for a clique, in mixed-radix order with class 0 the
-    lowest digit. The first very-cost-effective vector puts the b_i
-    smallest ids of each class on side B; partitions_examined counts the
-    vectors up to and including it, or all of them. As in brute_force, an
-    isolated vertex is NoneExists with none examined. A class space over
-    max_vectors is Inconclusive before anything is enumerated; one over 2^62
-    within the budget is a DomainError.
+    lowest digit, with the kernel brute_force scans masks with. The first
+    very-cost-effective vector puts the b_i smallest ids of each class on
+    side B; partitions_examined counts the vectors up to and including it,
+    or all of them. As in brute_force, an isolated vertex is NoneExists with
+    none examined. A class space over max_vectors is Inconclusive before
+    anything is enumerated; one over 2^62 within the budget is a DomainError.
     """
     t0 = perf_counter()
     out = _unsearched(g, t0, isolated_shortcut=True)
@@ -436,78 +394,97 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
                           f"vectors exceeds the limit of 2^{_MAX_FREE}")
     # classes are complete or empty to each other, so one member's row speaks
     # for its class
-    hit = _first_vce_vector(g.adj[np.ix_(reps, reps)] | np.diag(clique), size, clique, radix)
-    if hit is None:
+    index = _first_vce(g.adj[np.ix_(reps, reps)] | np.diag(clique), size, clique, radix,
+                       0, space)
+    if index is None:
         return SearchOutcome(SearchStatus.NONE_EXISTS, None, space, perf_counter() - t0,
                              reason="class space exhausted")
-    index, b = hit
+    digit = index // (np.cumprod(radix) // radix) % radix
+    b = np.where(clique, digit, digit * size)
     return SearchOutcome(SearchStatus.FOUND, _expand(cls, b), index + 1, perf_counter() - t0)
 
 
-def _counts(idx: np.ndarray, radix: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """(classes, len(idx)) B-counts of the vectors numbered idx: the digit of
-    each class, lowest class first, times its step."""
-    strides = np.cumprod(np.concatenate(([1], radix[:-1])))
-    digits = idx[None, :] // strides[:, None] % radix[:, None]
-    return digits.astype(step.dtype) * step[:, None]
+def _first_vce(m: np.ndarray, size: np.ndarray, clique: np.ndarray, radix: np.ndarray,
+               start: int, stop: int) -> int | None:
+    """Smallest index in [start, stop) of a very-cost-effective vector, or None.
 
+    A vector holds a digit d_i < radix_i per class, numbered in mixed-radix
+    order with class 0 the lowest digit, and puts b_i = d_i members of a
+    clique class, or d_i * size_i of any other, on side B. m is the class
+    adjacency with the clique classes' diagonal set, so S = m @ b counts a
+    class vertex's B-neighbours, itself included when it is a B-side clique
+    vertex, and its degree is D = m @ size - clique. Class i passes when its
+    R members (b_i < size_i) have S_i >= D_i // 2 + 1 and its B members
+    (b_i > 0) have S_i <= (D_i - 1) // 2 + clique_i.
 
-def _within(lo: np.ndarray, x: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per candidate, whether lo <= x <= hi on every class row (axis 0)."""
-    return np.logical_and.reduce((lo <= x) & (x <= hi), axis=0)
-
-
-def _first_vce_vector(m: np.ndarray, size: np.ndarray,
-                      clique: np.ndarray, radix: np.ndarray) -> tuple[int, np.ndarray] | None:
-    """Index and B-counts of the first very-cost-effective vector, or None.
-
-    m is the class adjacency with the clique classes' diagonal set, so that
-    S = m @ b counts a class vertex's B-neighbours, itself included when it
-    is a B-side clique vertex, and its degree is D = m @ size - clique. Given
-    b_i, class i passes when S_i lies in a window: S_i > D_i / 2 for its R
-    members (b_i < size_i), S_i - clique_i < D_i / 2 for its B members
-    (b_i > 0). As in brute_force, the low classes' vectors are tabulated once
-    (S over every class, windows over their own) and the high classes' are
-    walked a block at a time; a candidate passes when each side's S lies in
-    the other side's windows. The all-R and all-B vectors never pass (they
-    would need D < 0), so scanning them changes no outcome.
+    Each bound is a window [E, E + P) on S, P the smallest power of two over
+    |V|: a lower bound puts the window's top past any S, an upper bound its
+    bottom below 0, and a bound that does not apply takes in every S. A
+    class that is not a clique has all its members on one side, so it has
+    one check row, whose E moves with its digit; a clique class has a row
+    per bound. A vector passes when every row's S - E lies in [0, P), that
+    is, when their bitwise OR does. S - E is a sum over the classes' digits,
+    so the sums of the low classes (class 0 and the next ones up to
+    _LO_VECTORS vectors) are tabulated once by doubling, the high classes'
+    are gathered _HI_CHUNK vectors at a time, and about _BLOCK candidates
+    are checked at once. Counts are int16 below 2^14 vertices, where S - E
+    cannot overflow, and int32 from there. The all-R and all-B vectors never
+    pass (they would need D < 0), so scanning them changes no outcome.
     """
-    # int32 counts run about 1.5x faster than int64 ones here; |V| fits
-    k = size.size
-    m, size = m.astype(np.int32), size.astype(np.int32)
-    step = np.where(clique, 1, size)
+    k, nv = size.size, int(size.sum())
+    dt, ut = (np.int16, np.uint16) if nv < 1 << 14 else (np.int32, np.uint32)
+    span = 1 << nv.bit_length()
     deg = m @ size - clique
-    # S never leaves 0..|V|, so these ends leave a window open on that side
     lo_end, hi_end = deg // 2 + 1, (deg - 1) // 2 + clique
-    open_lo, open_hi = 0, int(size.sum())
+    # one column per (class, digit), class by class: what the digit adds to
+    # each row's S - E over digit 0. It adds b times the class's column of m
+    # to S; a vertex's or an independent class's digit 1 also moves its row's
+    # E from the R members' bound to the B members'
+    first = np.cumsum(radix) - radix
+    of = np.repeat(np.arange(k), radix)
+    digit = np.arange(of.size) - first[of]
+    cq = np.flatnonzero(clique)
+    per_digit = m * np.where(clique, 1, size) + np.diag(
+        np.where(clique, 0, lo_end + span - 1 - hi_end))
+    inc = per_digit[np.concatenate((np.arange(k), cq))][:, of] * digit
+    if cq.size:
+        # a clique's R-bound row drops its bound at the last digit, where no
+        # R member is left; its B-bound row takes its bound from digit 1 on
+        inc[cq, first[cq] + radix[cq] - 1] += lo_end[cq]
+        inc[k:] += (of == cq[:, None]) * (digit > 0) * (nv - hi_end[cq, None])
+    inc = inc.astype(dt)
+    n_chk = inc.shape[0]
 
-    def windows(b: np.ndarray, part: slice, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # where the other side's share of S must lie, given this side's share s
-        lo = np.where(b < size[part, None], lo_end[part, None], open_lo) - s[part]
-        hi = np.where(b > 0, hi_end[part, None], open_hi) - s[part]
-        return lo, hi
-
-    n_lo_cls = max(1, int(np.searchsorted(np.cumprod(radix), _LO_VECTORS, side="right")))
-    lo, hi = slice(0, n_lo_cls), slice(n_lo_cls, k)
-    n_lo, n_hi = prod(radix[lo].tolist()), prod(radix[hi].tolist())
-    b_lo = _counts(np.arange(n_lo), radix[lo], step[lo])
-    s_lo = m[:, lo] @ b_lo
-    lo_min, lo_max = windows(b_lo, lo, s_lo)
-    # blocks of high vectors double from one, so that an early hit is cheap,
-    # up to _BLOCK_BYTES per (class, candidate) array
-    h0, rows, max_rows = 0, 1, max(1, _BLOCK_BYTES // (n_lo * k))
-    while h0 < n_hi:
-        b_hi = _counts(np.arange(h0, min(h0 + rows, n_hi)), radix[hi], step[hi])
-        s_hi = m[:, hi] @ b_hi
-        hi_min, hi_max = windows(b_hi, hi, s_hi)
-        # ok[h, l] over candidates (h0 + h) * n_lo + l
-        ok = (_within(lo_min[:, None, :], s_hi[lo, :, None], lo_max[:, None, :])
-              & _within(hi_min[:, :, None], s_lo[hi, None, :], hi_max[:, :, None]))
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            h, l = divmod(int(hit[0]), n_lo)
-            return h0 * n_lo + int(hit[0]), np.concatenate([b_lo[:, l], b_hi[:, h]])
-        h0, rows = h0 + rows, min(2 * rows, max_rows)
+    radix_l, first_l = radix.tolist(), first.tolist()
+    n_lo_cls, n_lo = 0, 1
+    while n_lo_cls < k and (n_lo_cls == 0 or n_lo * radix_l[n_lo_cls] <= _LO_VECTORS):
+        n_lo, n_lo_cls = n_lo * radix_l[n_lo_cls], n_lo_cls + 1
+    lo_tab = np.empty((n_chk, n_lo), dtype=dt)
+    lo_tab[:, 0] = np.concatenate((-lo_end, np.full(cq.size, span - 1 - nv)))
+    w = 1
+    for c in range(n_lo_cls):
+        r, f = radix_l[c], first_l[c]
+        np.add(lo_tab[:, None, :w], inc[:, f + 1: f + r, None],
+               out=lo_tab[:, w: r * w].reshape(n_chk, r - 1, w))
+        w *= r
+    g_start, g_stop = start // n_lo, -(-stop // n_lo)  # the high vectors in range
+    rows = max(1, min(_BLOCK // n_lo, g_stop - g_start))
+    sums = np.empty((n_chk, rows, n_lo), dtype=dt)  # written in place, block by block
+    ors = np.empty((rows, n_lo), dtype=dt)
+    for g0 in range(g_start, g_stop, _HI_CHUNK):
+        gs = np.arange(g0, min(g0 + _HI_CHUNK, g_stop))
+        hi_tab, stride = np.zeros((n_chk, gs.size), dtype=dt), 1
+        for c in range(n_lo_cls, k):
+            hi_tab += inc[:, first_l[c] + gs // stride % radix_l[c]]
+            stride *= radix_l[c]
+        for h in range(0, gs.size, rows):
+            r = min(rows, gs.size - h)
+            np.add(lo_tab[:, None, :], hi_tab[:, h: h + r, None], out=sums[:, :r])
+            np.bitwise_or.reduce(sums[:, :r], axis=0, out=ors[:r])
+            at = (g0 + h) * n_lo
+            ok = ors[:r].ravel()[max(0, start - at): stop - at].view(ut) < span
+            if ok.any():
+                return max(at, start) + int(ok.argmax())
     return None
 
 

@@ -97,6 +97,21 @@ def ref_first_vce(adj: np.ndarray, pin_first: bool) -> tuple[int | None, int]:
     return None, examined
 
 
+def ref_vce_masks(adj: np.ndarray, pin_first: bool) -> np.ndarray:
+    """Every very-cost-effective mask of ref_first_vce's order, ascending,
+    from all masks at once: one bool side matrix with a row per mask, one
+    matmul for every vertex's B-neighbours under every mask."""
+    nv = adj.shape[0]
+    free = nv - 1 if pin_first else nv
+    masks = np.arange(1, 2**free)
+    side = np.zeros((masks.size, nv), dtype=bool)
+    side[:, nv - free:] = (masks[:, None] >> np.arange(free)) & 1
+    nb_b = side.astype(np.float32) @ adj.astype(np.float32)
+    deg = adj.sum(axis=1)
+    inside = np.where(side, nb_b, deg - nb_b)
+    return masks[(2 * inside < deg).all(axis=1)]
+
+
 def ref_local_search(adj: np.ndarray, max_restarts: int, max_steps: int,
                      rng_seed: int) -> tuple[np.ndarray | None, int]:
     """The hill climber as first written, for equivalence tests: side B as a

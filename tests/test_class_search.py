@@ -118,6 +118,33 @@ def ref_first_vector(g: LabeledGraph) -> tuple[int, np.ndarray | None]:
     return pos, None
 
 
+def ref_class_hits(join: np.ndarray, size, clique) -> np.ndarray:
+    """0-based positions, class 0 the fastest digit, of every B-count vector
+    whose partition is very cost effective, counted at class level for all
+    vectors at once: under a vector, a class's R members and its B members
+    (where it has any) each need fewer neighbours on their own side than on
+    the other. join is the class adjacency without its diagonal; no graph is
+    built, so classes may hold thousands of vertices."""
+    size, clique = np.asarray(size), np.asarray(clique, dtype=bool)
+    options = [np.arange(m + 1) if q else np.array([0, m]) for m, q in zip(size, clique)]
+    grids = np.meshgrid(*options[::-1], indexing="ij")
+    b = np.stack([grid.ravel() for grid in grids[::-1]], axis=1)
+    r = size - b
+    b_out, r_out = b @ join.T.astype(np.int64), r @ join.T.astype(np.int64)
+    own = clique.astype(np.int64)
+    r_ok = (r == 0) | (r_out + own * (r - 1) < b_out + own * b)
+    b_ok = (b == 0) | (b_out + own * (b - 1) < r_out + own * r)
+    return np.flatnonzero((r_ok & b_ok).all(axis=1))
+
+
+def kernel_first(join: np.ndarray, size, clique) -> int | None:
+    """class_search's kernel on a class structure given outright."""
+    size, clique = np.asarray(size), np.asarray(clique, dtype=bool)
+    radix = np.where(clique, size + 1, 2)
+    return search._first_vce(join | np.diag(clique), size, clique, radix,
+                             0, int(np.prod(radix)))
+
+
 def small_residue_graphs():
     for n in range(2, 121):
         for fam in (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA):
@@ -149,8 +176,10 @@ class TestClassSearch:
     @pytest.mark.parametrize("n, family", [(48, "gamma"), (120, "gamma"), (240, "gamma"),
                                            (288, "gamma"), (64, "nilradical"), (70, "omega")])
     def test_first_hit_matches_a_plain_enumeration(self, n, family):
-        # gamma(240) and gamma(288) span 393 216 and 552 960 vectors and find
-        # their first partition at 1792 and 5488, past the first 1024 vectors
+        # gamma(240) and gamma(288) span 393 216 and 552 960 vectors. gamma(240)
+        # finds its first partition at 1792, inside its 4096-vector low table;
+        # gamma(288), whose low table ends at a radix-5 clique class (2560
+        # vectors), finds it at 5488, in the third high vector
         g = build_family(n, family)
         pos, in_b = ref_first_vector(g)
         out = class_search(g, 1 << 25)
@@ -251,3 +280,79 @@ def test_class_search_matches_full_enumeration_on_planted_twins(g):
     assert (out.status is SearchStatus.FOUND) == ref_has_vce(g.adj)
     if out.status is SearchStatus.FOUND:
         assert is_vce(g, out.partition)
+
+
+@settings(max_examples=100, deadline=None)
+@given(planted_twin_graphs())
+def test_class_reference_matches_the_plain_enumeration(g):
+    # ref_class_hits, which the tests below use, counts the same first hit
+    # as ref_first_vector, which expands every vector into a partition
+    if g.n_vertices < 2:
+        return
+    cls, kinds = ref_twin_classes(g.adj)
+    reps = [cls.index(c) for c in range(len(kinds))]
+    size = np.bincount(cls)
+    join = g.adj[np.ix_(reps, reps)] & ~np.eye(len(reps), dtype=bool)
+    hits = ref_class_hits(join, size, kinds)
+    pos, in_b = ref_first_vector(g)
+    assert (int(hits[0]) + 1 if hits.size else None) == (pos if in_b is not None else None)
+
+
+@st.composite
+def class_structures(draw):
+    """Up to 7 classes of 1..4 vertices, cliques among them, joined at random."""
+    k = draw(st.integers(1, 7))
+    size = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+    clique = np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    upper = np.triu(np.array(draw(st.lists(st.booleans(), min_size=k * k, max_size=k * k)))
+                    .reshape(k, k), 1)
+    return upper | upper.T, size, clique
+
+
+@settings(max_examples=200, deadline=None)
+@given(class_structures(), st.sampled_from([(1, 1, 1), (2, 4, 1), (3, 6, 2), (4, 4, 3),
+                                            (6, 12, 2), (12, 24, 5), (1 << 12, 1 << 14, 1 << 8)]))
+def test_clique_radices_straddling_the_low_table(classes, sizes):
+    # table sizes from 1 vector up put the low/high split before, after and
+    # at clique classes of radix 2 to 5, with many blocks and chunks
+    join, size, clique = classes
+    hits = ref_class_hits(join, size, clique)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in zip(("_LO_VECTORS", "_BLOCK", "_HI_CHUNK"), sizes):
+            mp.setattr(search, name, value)
+        assert kernel_first(join, size, clique) == (int(hits[0]) if hits.size else None)
+
+
+def test_a_clique_past_a_full_low_table():
+    # eleven vertices fill 2048 low vectors; a clique of three (radix 4)
+    # would make 8192, so it is the first high class
+    k = 12
+    rng = np.random.default_rng(3)
+    seen = set()
+    for _ in range(20):
+        upper = np.triu(rng.random((k, k)) < 0.5, 1)
+        size, clique = np.array([1] * 11 + [3]), np.array([False] * 11 + [True])
+        hits = ref_class_hits(upper | upper.T, size, clique)
+        first = int(hits[0]) if hits.size else None
+        assert kernel_first(upper | upper.T, size, clique) == first
+        seen.add(None if first is None else first >= 2048)
+    assert seen == {None, False, True}
+
+
+def test_kernel_counts_in_int32_from_2_to_the_14_vertices():
+    # three independent classes of thousands of vertices and three small
+    # ones, some of them cliques; no graph is built. Past 2^15 vertices S - E
+    # spans more than 2^16 values, which int16 counts could not tell apart
+    rng = np.random.default_rng(7)
+    found = []
+    for big in [(5500, 9000)] * 12 + [(11000, 16000)] * 12:
+        size = np.concatenate((rng.integers(*big, 3), rng.integers(1, 4, 3)))
+        clique = np.array([False] * 3 + list(rng.random(3) < 0.5))
+        upper = np.triu(rng.random((6, 6)) < 0.6, 1)
+        join = upper | upper.T
+        assert size.sum() >= 1 << 14
+        hits = ref_class_hits(join, size, clique)
+        first = int(hits[0]) if hits.size else None
+        assert kernel_first(join, size, clique) == first
+        found.append(first is not None)
+    assert True in found and False in found

@@ -216,19 +216,9 @@ def test_caller_adjacency_is_copied():
 
 
 def test_adopted_adjacency_is_checked_and_kept():
-    a = np.array([[False, True], [True, False]])
-    g = LabeledGraph._adopt([Residue(1), Residue(2)], a)
-    assert g.adj is a and not a.flags.writeable
-    bad = [
-        ([Residue(1), Residue(1)], np.zeros((2, 2), dtype=bool)),
-        ([Residue(1), Residue(2)], np.array([[False, True], [False, False]])),
-        ([Residue(1)], np.array([[True]])),
-        ([Residue(1), Residue(2)], np.zeros((3, 3), dtype=bool)),
-    ]
-    for labels, adj in bad:
-        with pytest.raises(ValueError):
-            LabeledGraph._adopt(labels, adj)
-    # the key constructor adopts its keys too, and checks the same four faults
+    # the key constructor adopts its keys and adjacency without a copy, and
+    # checks them for repeated labels, asymmetry, self-loops and a shape
+    # that does not match the labels
     keys, a = np.array([[1, 1], [1, 2]]), np.array([[False, True], [True, False]])
     g = LabeledGraph._from_keys(keys, a)
     assert g.keys() is keys and g.adj is a and not (keys.flags.writeable or a.flags.writeable)

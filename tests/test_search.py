@@ -9,6 +9,7 @@ from helpers import (
     ref_first_vce,
     ref_has_vce,
     ref_local_search,
+    ref_vce_masks,
     side_residues,
 )
 from znvce import (
@@ -178,6 +179,68 @@ def test_brute_force_matches_reference_order(nv, seed, p, pin_first):
         first = 1 if pin_first else 0
         b = [v for v in range(first, nv) if (mask >> (v - first)) & 1]
         assert out.partition.b_ids.tolist() == b
+    # the vectorised reference that the larger graphs below use agrees
+    hits = ref_vce_masks(g.adj, pin_first)
+    assert (int(hits[0]) if hits.size else None) == mask
+
+
+def _assert_first_mask(g: LabeledGraph, pin_first: bool) -> int | None:
+    """brute_force's outcome against ref_vce_masks; the first mask or None."""
+    nv = g.n_vertices
+    out = brute_force(g, symmetry_reduction=pin_first, isolated_shortcut=False)
+    hits = ref_vce_masks(g.adj, pin_first)
+    free = nv - 1 if pin_first else nv
+    if not hits.size:
+        assert out.status is SearchStatus.NONE_EXISTS
+        assert out.partitions_examined == 2**free - (1 if pin_first else 2)
+        return None
+    mask = int(hits[0])
+    assert out.status is SearchStatus.FOUND and out.partitions_examined == mask
+    assert out.partition.b_ids.tolist() == [v for v in range(nv - free, nv)
+                                           if (mask >> (v - nv + free)) & 1]
+    return mask
+
+
+@given(st.integers(13, 17), st.integers(0, 10_000), st.sampled_from([0.25, 0.4, 0.6]),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_brute_force_matches_reference_order_past_the_low_table(nv, seed, p, pin_first):
+    # 13 to 17 vertices put 1 to 5 mask bits past the kernel's 4096-mask low
+    # table; 17 unpinned is the shortest scan that asks the refuter
+    _assert_first_mask(random_graph(nv, seed=seed, p=p), pin_first)
+
+
+def test_first_masks_past_the_low_table_and_the_eighth():
+    # sparse graphs of 15 to 17 vertices often find their first partition
+    # past mask 4096, and 17 unpinned ones past the refuter's eighth, 2^14
+    masks = [_assert_first_mask(random_graph(nv, seed=seed, p=0.25), pin_first)
+             for nv in (15, 16, 17) for pin_first in (True, False) for seed in range(4)]
+    assert sum(m is not None and m > 4096 for m in masks) >= 8
+    assert any(m is not None and m > 1 << 14 for m in masks[-4:])
+
+
+@given(st.integers(2, 14), st.integers(0, 10_000), st.booleans(),
+       st.sampled_from([(1 << 12, 1 << 14, 1 << 8), (1, 1, 1), (4, 8, 2), (8, 16, 3)]),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_scans_exactly_its_index_range(nv, seed, pin_first, sizes, data):
+    # the first very-cost-effective mask in [start, stop), with the real
+    # table sizes and with tiny ones that put many block and chunk ends
+    # inside the range
+    g = random_graph(nv, seed=seed, p=0.3)
+    free = nv - 1 if pin_first else nv
+    start = data.draw(st.integers(0, 1 << free))
+    stop = data.draw(st.integers(start, 1 << free))
+    hits = ref_vce_masks(g.adj, pin_first)
+    hits = hits[(hits >= start) & (hits < stop)]
+    ones = np.ones(nv, dtype=np.int64)
+    radix = np.full(nv, 2)
+    radix[:nv - free] = 1
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in zip(("_LO_VECTORS", "_BLOCK", "_HI_CHUNK"), sizes):
+            mp.setattr(search, name, value)
+        got = search._first_vce(g.adj, ones, ones == 0, radix, start, stop)
+    assert got == (int(hits[0]) if hits.size else None)
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000))
