@@ -65,12 +65,19 @@ def cmd_construct(n: int, family: GraphFamily, cap: int = DEFAULT_VERTEX_CAP) ->
     return _render_certificate(cert)
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file at `path` decoded as UTF-8; FormatError if it is not."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise FormatError(f"{what} file is not UTF-8 text") from None
+
+
 def cmd_check(graph_path: str, partition_path: str) -> tuple[str, int]:
     try:
-        with open(graph_path) as fh:
-            g, family = graph_from_json(fh.read())
-        with open(partition_path) as fh:
-            part = partition_from_json(fh.read(), g, family)
+        g, family = graph_from_json(_read_text(graph_path, "graph"))
+        part = partition_from_json(_read_text(partition_path, "partition"), g, family)
     except (OSError, FormatError, PartitionError) as exc:
         return f"error: {exc}\n", 3
     report = check_bipartition(g, part)
@@ -98,8 +105,7 @@ def cmd_search(
 ) -> tuple[str, int]:
     try:
         if graph_path is not None:
-            with open(graph_path) as fh:
-                g, family = graph_from_json(fh.read())
+            g, family = graph_from_json(_read_text(graph_path, "graph"))
         else:
             if n is None:
                 return "error: provide either a modulus or a graph file\n", 2

@@ -93,10 +93,31 @@ def _load(text: str, what: str):
 
 
 def graph_from_json(text: str) -> tuple[LabeledGraph, GraphFamily]:
+    """Read a graph file. Text laid out exactly as graph_to_json writes it
+    has its edge list, and its labels when all are rendered ones, read by
+    digit-run scans (_digit_runs); only the rest goes to json.loads. Any
+    other text is read as graph_from_json_obj reads json.loads(text). Both
+    give the same graph, or raise the same error."""
+    split = _split_edges(text)
+    if split is not None:
+        obj, ends = split
+        family = _family_of(obj)
+        keys = _rendered_keys(obj["vertices"], family)
+        if keys is None:
+            keys = _parse_keys(obj["vertices"], family)
+        if _ascending_in_range(ends, len(keys)):
+            return _graph(keys, ends, obj.get("n")), family
     return graph_from_json_obj(_load(text, "graph"))
 
 
 def graph_from_json_obj(obj) -> tuple[LabeledGraph, GraphFamily]:
+    family = _family_of(obj)
+    keys = _parse_keys(obj["vertices"], family)
+    return _graph(keys, _edge_ends(obj["edges"], len(keys)), obj.get("n")), family
+
+
+def _family_of(obj) -> GraphFamily:
+    """The family of a graph object, once its keys and lists are checked."""
     if not isinstance(obj, dict):
         raise FormatError("graph JSON must be an object")
     for key in ("family", "vertices", "edges"):
@@ -106,20 +127,131 @@ def graph_from_json_obj(obj) -> tuple[LabeledGraph, GraphFamily]:
         if not isinstance(obj[key], (list, tuple)):
             raise FormatError(f"graph JSON {key!r} must be a list, got {type(obj[key]).__name__}")
     try:
-        family = GraphFamily(obj["family"])
+        return GraphFamily(obj["family"])
     except ValueError:
         raise FormatError(f"unknown graph family {obj['family']!r}") from None
-    keys = _parse_keys(obj["vertices"], family)
+
+
+def _graph(keys: np.ndarray, ends: np.ndarray, modulus) -> LabeledGraph:
     nv = len(keys)
-    ends = _edge_ends(obj["edges"], nv)
     adj = np.zeros((nv, nv), dtype=bool)
     adj[ends[:, 0], ends[:, 1]] = True
     adj[ends[:, 1], ends[:, 0]] = True
     try:
-        g = LabeledGraph._from_keys(keys, adj, modulus=obj.get("n"))
+        return LabeledGraph._from_keys(keys, adj, modulus=modulus)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    return g, family
+
+
+_EDGES_KEY = ', "edges": '
+
+# digits of the longest id _digit_runs reads: 10**18 - 1 < 2**63
+_MAX_DIGITS = 18
+
+
+def _split_edges(text: str) -> tuple[dict, np.ndarray] | None:
+    """The graph object with its edge list left empty, and that list as an
+    (|E|, 2) int64 array, when `text` ends with the list as json.dumps
+    writes it: `, "edges": [[i, j], …]}` or `, "edges": []}`. None for any
+    other text.
+
+    Only the head, with `[]` put in for the list, goes to json.loads. The
+    space before `"edges"` shows its quote is unescaped, so if the head
+    parses, the key is a member of the top-level object and the last one:
+    json.loads(text) is that object with the scanned list for "edges"."""
+    k = text.rfind(_EDGES_KEY)
+    if k < 0 or not text.endswith("]}"):
+        return None
+    body = text[k + len(_EDGES_KEY):-1]
+    if body == "[]":
+        flat = np.empty(0, dtype=np.int64)
+    else:
+        flat = _digit_runs(body, (", ", "], ["), "[[", "]]")
+        if flat is None:
+            return None
+    try:
+        obj = json.loads(text[:k] + _EDGES_KEY + "[]}")
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(obj, dict) or obj.get("edges") != []:
+        return None
+    return obj, flat.reshape(-1, 2)
+
+
+def _rendered_keys(entries, family: GraphFamily) -> np.ndarray | None:
+    """The label keys of `entries` when every entry is a str as render()
+    writes it for `family`: residues, then "(a,b)" pairs with a < b, each
+    kind read by one _digit_runs scan. None for anything else."""
+    if not set(map(type, entries)) <= {str}:
+        return None
+    if family in _RESIDUE_FAMILIES:
+        split = len(entries)
+    elif family is GraphFamily.LINE_OF_GAMMA:
+        split = 0
+    else:
+        split = next((i for i, s in enumerate(entries) if s[:1] == "("), len(entries))
+    residues, pairs = entries[:split], entries[split:]
+    # a separator no rendered label holds, so a label is what lies between two
+    ks = _digit_runs(",".join(residues), (",",)) if residues else np.empty(0, dtype=np.int64)
+    ab = (_digit_runs(" ".join(pairs), (",", ") ("), "(", ")") if pairs
+          else np.empty(0, dtype=np.int64))
+    if ks is None or ab is None or len(ks) != len(residues) or len(ab) != 2 * len(pairs):
+        return None
+    ab = ab.reshape(-1, 2)
+    if not (ab[:, 0] < ab[:, 1]).all():
+        return None
+    return np.concatenate([np.stack([ks, ks], axis=1), ab])
+
+
+def _digit_runs(text: str, seps: tuple[str, ...], lead: str = "",
+                trail: str = "") -> np.ndarray | None:
+    """The m values of `text` as int64 when it is exactly
+    lead d0 s0 d1 s1 … d(m-1) trail, with separator s_i = seps[i % len(seps)]
+    and m >= 1 a multiple of len(seps). Every d must be an ASCII digit run as
+    str(int) writes it: no leading zero, at most _MAX_DIGITS digits. The
+    separators hold no digit. None for any other text.
+
+    One pass over the bytes finds the digit runs. Each gap between two runs
+    must open with the separator due there, read by position, and the gaps
+    must hold as many bytes as those separators, so each is exactly its
+    separator. The values accumulate one digit column at a time."""
+    if not (text.startswith(lead) and text.endswith(trail)) or not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(lead):len(text) - len(trail)]
+    dig = np.concatenate(([False], (b - np.uint8(48)) < 10, [False]))
+    bounds = np.flatnonzero(dig[1:] != dig[:-1])
+    # each temporary goes once used: on a 40 000-edge file they are 0.3-0.6 MB
+    # apiece, and held through the scan they raised peak memory by about 2 MiB
+    del dig
+    starts, ends = bounds[0::2], bounds[1::2]
+    m, p = len(starts), len(seps)
+    if m == 0 or m % p or starts[0] != 0 or ends[-1] != len(b):
+        return None
+    width = ends - starts
+    if width.max() > _MAX_DIGITS or ((b[starts] == ord("0")) & (width > 1)).any():
+        return None
+    if len(b) - width.sum() != sum(map(len, seps)) * (m // p) - len(seps[-1]):
+        return None
+    for r, sep in enumerate(seps):
+        # clipped reads past the end land on the last digit, which no separator holds
+        at = ends[:-1][r::p]
+        for c, ch in enumerate(sep.encode("ascii")):
+            if not (b.take(at + c, mode="clip") == ch).all():
+                return None
+    # column `col` counts from each run's last digit; a read before a run's
+    # first digit is masked to "0"
+    e = ends - 1
+    del bounds, starts, ends
+    values = b[e].astype(np.int64) - ord("0")
+    for col in range(1, int(width.max())):
+        e -= 1
+        values += (np.where(width > col, b[e], ord("0")).astype(np.int64) - ord("0")) * 10**col
+    return values
+
+
+def _ascending_in_range(ends: np.ndarray, nv: int) -> bool:
+    i, j = ends[:, 0], ends[:, 1]
+    return bool(((0 <= i) & (i < j) & (j < nv)).all())
 
 
 def _edge_ends(edges, nv: int) -> np.ndarray:
@@ -139,8 +271,7 @@ def _edge_ends(edges, nv: int) -> np.ndarray:
         else:
             if flat.ndim == 1 and flat.dtype.kind in "ib":
                 ends = flat.astype(np.int64, copy=False).reshape(-1, 2)
-                i, j = ends[:, 0], ends[:, 1]
-                if ((0 <= i) & (i < j) & (j < nv)).all():
+                if _ascending_in_range(ends, nv):
                     return ends
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +165,31 @@ class TestCheck:
         assert main(["check", gp, pp]) == 3
         out, err = capsys.readouterr()
         assert out == "" and err == text
+
+    @pytest.mark.parametrize("which", ["graph", "partition"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, which):
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\xff" + GAMMA_15_JSON.encode())
+        gp = str(binary) if which == "graph" else write(tmp_path / "g.json", GAMMA_15_JSON)
+        pp = str(binary) if which == "partition" else write(tmp_path / "p.json", GOOD_PARTITION)
+        text, code = cmd_check(gp, pp)
+        assert code == 3
+        assert text == f"error: {which} file is not UTF-8 text\n"
+        assert main(["check", gp, pp]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == text
+
+    def test_files_are_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # a residue label in Arabic-Indic digits, read under an ASCII locale
+        graph = '{"n": 15, "family": "gamma", "vertices": ["3", "\u0665"], "edges": [[0, 1]]}'
+        (tmp_path / "g.json").write_bytes(graph.encode("utf-8"))
+        write(tmp_path / "p.json", '{"R": ["3"], "B": ["5"]}')
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        run = subprocess.run([sys.executable, "-m", "znvce.cli", "check", "g.json", "p.json"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout.splitlines()[1] == "5 [B]: inside 0 outside 1 VeryCostEffective"
 
     def test_vertex_listed_twice(self, tmp_path):
         gp = write(tmp_path / "g.json", GAMMA_15_JSON)
@@ -337,6 +365,15 @@ class TestSearch:
     def test_unreadable_graph(self, tmp_path):
         text, code = cmd_search(graph_path=str(tmp_path / "none.json"))
         assert code == 2 and text.startswith("error:")
+
+    def test_graph_file_that_is_not_utf8(self, tmp_path, capsys):
+        binary = tmp_path / "bin.json"
+        binary.write_bytes(b"\xff" + GAMMA_15_JSON.encode())
+        text, code = cmd_search(graph_path=str(binary))
+        assert (text, code) == ("error: graph file is not UTF-8 text\n", 2)
+        assert main(["search", "--graph", str(binary)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == text
 
 
 class TestSurvey:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import edge_residues
 from znvce import (
@@ -24,6 +26,8 @@ from znvce import (
     total_graph,
     vce_squarefree,
 )
+from znvce import serialize
+from znvce.serialize import _load, graph_from_json_obj
 
 
 class TestParseLabel:
@@ -201,6 +205,118 @@ class TestGraphFromJsonErrors:
         text = '{"family": "%s", "vertices": ["007", 5, "-3", " 4"], "edges": []}' % family
         g, _ = graph_from_json(text)
         assert g.labels == (Residue(7), Residue(5), Residue(-3), Residue(4))
+
+
+def _outcome(read, text):
+    """What a reader makes of `text`: the graph's keys, adjacency, modulus
+    and family, or the exception's type and message."""
+    try:
+        g, family = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    keys = g.keys()
+    return keys.dtype, keys.tolist(), g.adj.tolist(), g.modulus, family
+
+
+def _reference(text):
+    return graph_from_json_obj(_load(text, "graph"))
+
+
+def _assert_reads_as_reference(text):
+    assert _outcome(graph_from_json, text) == _outcome(_reference, text)
+
+
+# small graph files of every family, one of them empty, for the mutations below
+_BASE_TEXTS = [graph_to_json(build_family(n, fam), fam) for fam, ns in [
+    (GraphFamily.GAMMA, (7, 12, 36)), (GraphFamily.NILRADICAL, (16, 36)),
+    (GraphFamily.OMEGA, (12, 36)), (GraphFamily.LINE_OF_GAMMA, (12, 15)),
+    (GraphFamily.TOTAL_OF_GAMMA, (12, 15))] for n in ns]
+
+# 19 digits, an Arabic-Indic three, (by `{nv}`) an id one past the last
+# vertex, a backslash and an escaped "3"
+_TOKENS = ["7", " ", "\n", "-", ".", "e", "0", "[", "]", ",", '"',
+           "1234567890123456789", "\u0663", "{nv}", "\\", "\\u0033"]
+
+
+@st.composite
+def mutated_graph_texts(draw):
+    text = draw(st.sampled_from(_BASE_TEXTS))
+    nv = str(len(json.loads(text)["vertices"]))
+    for _ in range(draw(st.integers(1, 3))):
+        token = draw(st.sampled_from(_TOKENS)).replace("{nv}", nv)
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 1)) if at < len(text) else 0
+        text = text[:at] + token + text[at + cut:]
+    return text
+
+
+@settings(max_examples=1500, deadline=None)
+@given(mutated_graph_texts())
+def test_mutated_files_read_as_the_reference_reader_reads_them(text):
+    _assert_reads_as_reference(text)
+
+
+@st.composite
+def rearranged_graph_texts(draw):
+    text = draw(st.sampled_from(_BASE_TEXTS[1:]))  # each has vertices and edges
+    obj = json.loads(text)
+    how = draw(st.sampled_from(["reversed", "earlier key", "key in a label", "trailing"]))
+    if how == "reversed":
+        e = draw(st.integers(0, len(obj["edges"]) - 1))
+        obj["edges"][e].reverse()
+        return json.dumps(obj)
+    if how == "earlier key":
+        edges = draw(st.sampled_from(["[]", "[[0, 1]]", "5", "null"]))
+        return text.replace('"vertices": ', f'"edges": {edges}, "vertices": ', 1)
+    if how == "key in a label":
+        v = draw(st.integers(0, len(obj["vertices"]) - 1))
+        obj["vertices"][v] += ', "edges": [[0, 1]]'
+        return json.dumps(obj)
+    return text + draw(st.sampled_from([" ", "\n", "}", "x", " \n\t"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rearranged_graph_texts())
+def test_rearranged_files_read_as_the_reference_reader_reads_them(text):
+    _assert_reads_as_reference(text)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a file graph_to_json writes should not reach the general reader")
+
+
+def test_files_graph_to_json_writes_take_the_bulk_path(monkeypatch):
+    graphs = [(build_family(n, fam), fam) for fam in GraphFamily for n in range(2, 201)]
+    graphs += [(build_family(695, GraphFamily.TOTAL_OF_GAMMA), GraphFamily.TOTAL_OF_GAMMA),
+               (build_family(1207, GraphFamily.LINE_OF_GAMMA), GraphFamily.LINE_OF_GAMMA)]
+    texts = [graph_to_json(g, fam) for g, fam in graphs]
+    for name in ("_load", "_edge_ends", "_parse_keys", "parse_label"):
+        monkeypatch.setattr(serialize, name, _refuse)
+    for (g, fam), text in zip(graphs, texts):
+        if g.n_vertices:
+            back, fam_back = graph_from_json(text)
+            assert back == g and fam_back is fam and back.modulus == g.modulus
+
+
+_TOTAL_15 = graph_to_json(total_graph(gamma(15)), GraphFamily.TOTAL_OF_GAMMA)
+
+
+@pytest.mark.parametrize("text, error", [
+    (json.dumps(json.loads(_TOTAL_15), indent=1), None),
+    (json.dumps(json.loads(_TOTAL_15), separators=(",", ":")), None),
+    (_TOTAL_15.replace("[0, 1]", "[00, 1]", 1), "graph file is not valid JSON"),
+    (_TOTAL_15.replace("[0, 1]", "[0, 1000000000000000000]", 1),
+     r"edge \[0, 1000000000000000000\] is out of range or not ascending"),
+])
+def test_other_layouts_and_ids_fall_back_to_the_general_reader(monkeypatch, text, error):
+    calls = []
+    monkeypatch.setattr(serialize, "_load", lambda *a: calls.append(a) or _load(*a))
+    if error is None:
+        assert graph_from_json(text) == (total_graph(gamma(15)), GraphFamily.TOTAL_OF_GAMMA)
+    else:
+        with pytest.raises(FormatError, match=error):
+            graph_from_json(text)
+    assert calls == [(text, "graph")]
 
 
 def test_dot_output_gamma_16():
