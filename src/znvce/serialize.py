@@ -218,7 +218,8 @@ def _digit_runs(text: str, seps: tuple[str, ...], lead: str = "",
     if not (text.startswith(lead) and text.endswith(trail)) or not text.isascii():
         return None
     b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(lead):len(text) - len(trail)]
-    dig = np.concatenate(([False], (b - np.uint8(48)) < 10, [False]))
+    # less "0", the digits read 0..9 and every other byte wraps past 9
+    dig = np.concatenate(([False], (b - np.uint8(ord("0"))) < 10, [False]))
     bounds = np.flatnonzero(dig[1:] != dig[:-1])
     # each temporary goes once used: on a 40 000-edge file they are 0.3-0.6 MB
     # apiece, and held through the scan they raised peak memory by about 2 MiB
