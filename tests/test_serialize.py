@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -250,10 +251,15 @@ def mutated_graph_texts(draw):
     return text
 
 
+# piece sizes of the edge-list scan: small ones put cuts all through these files
+_SCAN_SIZES = st.sampled_from([1, 5, 16, 64, serialize._SCAN_BYTES])
+
+
 @settings(max_examples=1500, deadline=None)
-@given(mutated_graph_texts())
-def test_mutated_files_read_as_the_reference_reader_reads_them(text):
-    _assert_reads_as_reference(text)
+@given(mutated_graph_texts(), _SCAN_SIZES)
+def test_mutated_files_read_as_the_reference_reader_reads_them(text, scan_bytes):
+    with mock.patch.object(serialize, "_SCAN_BYTES", scan_bytes):
+        _assert_reads_as_reference(text)
 
 
 @st.composite
@@ -276,9 +282,10 @@ def rearranged_graph_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rearranged_graph_texts())
-def test_rearranged_files_read_as_the_reference_reader_reads_them(text):
-    _assert_reads_as_reference(text)
+@given(rearranged_graph_texts(), _SCAN_SIZES)
+def test_rearranged_files_read_as_the_reference_reader_reads_them(text, scan_bytes):
+    with mock.patch.object(serialize, "_SCAN_BYTES", scan_bytes):
+        _assert_reads_as_reference(text)
 
 
 def _refuse(*args, **kwargs):
@@ -296,6 +303,30 @@ def test_files_graph_to_json_writes_take_the_bulk_path(monkeypatch):
         if g.n_vertices:
             back, fam_back = graph_from_json(text)
             assert back == g and fam_back is fam and back.modulus == g.modulus
+
+
+@pytest.mark.parametrize("scan_bytes", [1, 7, 100])
+def test_the_edge_list_scan_reads_across_its_pieces(monkeypatch, scan_bytes):
+    graphs = [(build_family(n, fam), fam) for fam in GraphFamily for n in (30, 36, 64)]
+    texts = [graph_to_json(g, fam) for g, fam in graphs]
+    monkeypatch.setattr(serialize, "_SCAN_BYTES", scan_bytes)
+    monkeypatch.setattr(serialize, "_load", _refuse)
+    for (g, fam), text in zip(graphs, texts):
+        if g.n_vertices:
+            assert graph_from_json(text) == (g, fam)
+
+
+@pytest.mark.parametrize("family, vertices", [
+    ("gamma", '["3,5", "6", "9"]'),
+    ("line-of-gamma", '["(3,5) (5,6)", "(6,9)", "(9,12)"]'),
+    ("total-of-gamma", '["3", "(3,5) (5,6)", "(6,9)"]'),
+    ("gamma", '["2", "9999999999999999999", "4"]'),
+    ("total-of-gamma", '["2", "(2,9999999999999999999)", "(3,4)"]'),
+])
+def test_labels_the_scan_does_not_take_read_as_the_reference(family, vertices):
+    # labels holding the separator that joins them, and values past int64
+    text = '{"n": 15, "family": "%s", "vertices": %s, "edges": [[0, 1]]}' % (family, vertices)
+    _assert_reads_as_reference(text)
 
 
 _TOTAL_15 = graph_to_json(total_graph(gamma(15)), GraphFamily.TOTAL_OF_GAMMA)
