@@ -166,15 +166,15 @@ def _split_edges(text: str) -> tuple[dict, np.ndarray] | None:
     parses, the key is a member of the top-level object and the last one:
     json.loads(text) is that object with the scanned list for "edges"."""
     k = text.rfind(_EDGES_KEY)
-    start = k + len(_EDGES_KEY)
     if k < 0:
         return None
+    start = k + len(_EDGES_KEY)
     if text.endswith(_EDGES_KEY + "[]}"):
         flat = np.empty(0, dtype=np.int64)
     elif text.startswith("[[", start) and text.endswith("]]}"):
-        # pieces of about _SCAN_BYTES cut at pair boundaries: each must read
-        # as a list of pairs without its outer brackets, and so must their
-        # join by "], ["
+        # cut at the first "], [" past every _SCAN_BYTES: each piece must
+        # read as pairs without their outer brackets, so the pieces joined
+        # by "], [" are the whole list
         start, stop, pieces = start + 2, len(text) - 3, []
         while True:
             cut = text.find("], [", start + _SCAN_BYTES, stop)
