@@ -37,12 +37,9 @@ from .graphs import (
     GraphFamily,
     LabeledGraph,
     Residue,
-    TotalEdge,
-    TotalOriginal,
     VertexLabel,
     build_family,
     gamma,
-    isolated_vertices,
     line_graph,
     nilradical_graph,
     non_nilradical_graph,
@@ -78,13 +75,10 @@ from .serialize import (
 )
 from .vce import (
     Bipartition,
-    PartitionVerdict,
     VceReport,
     Verdict,
-    VertexTally,
     check_bipartition,
     is_vce,
-    tally,
 )
 
 __version__ = "0.1.0"

@@ -5,7 +5,6 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
 
 from .constructions import Certificate, Exists, ExhaustedSearch, IsolatedVertex, NotVce, dispatch
 from .errors import DomainError, FormatError, PartitionError
@@ -19,7 +18,7 @@ from .serialize import (
     graph_to_json,
     partition_from_json,
 )
-from .vce import Bipartition, PartitionVerdict, check_bipartition
+from .vce import Bipartition, Verdict, check_bipartition
 
 _FAMILY_CHOICES = [f.value for f in GraphFamily]
 
@@ -89,7 +88,7 @@ def cmd_check(graph_path: str, partition_path: str) -> tuple[str, int]:
     text = "".join(lines) + f"partition verdict: {report.partition_verdict.value}\n"
     if report.witnesses:
         text += "witnesses: " + " ".join(names[v] for v in report.witnesses) + "\n"
-    code = 0 if report.partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE else 1
+    code = 0 if report.partition_verdict is Verdict.VERY_COST_EFFECTIVE else 1
     return text, code
 
 
@@ -130,29 +129,22 @@ def cmd_search(
     return "\n".join(lines) + "\n", code
 
 
-@dataclass(frozen=True)
-class SurveyRow:
-    n: int
-    family: str
-    shape: str
-    vertices: int
-    verdict: str
-    source: str
-
-
-def _survey_row(n: int, family: GraphFamily, cap: int) -> SurveyRow:
+def _survey_row(n: int, family: GraphFamily, cap: int) -> list:
+    """The survey CSV row of (n, family): n, family, shape, vertices,
+    verdict and source."""
     shape = classify(factorize(n)).kind.value
     g = build_family(n, family)
+    row = [n, family.value, shape, g.n_vertices]
     if g.n_vertices == 0:
-        return SurveyRow(n, family.value, shape, 0, "Empty-graph", "")
+        return row + ["Empty-graph", ""]
     cert = dispatch(n, family, vertex_cap=cap, graph=g)
     if cert is None:
-        return SurveyRow(n, family.value, shape, g.n_vertices, "Unknown", "")
+        return row + ["Unknown", ""]
     if isinstance(cert, Exists):
         verdict = "VCE-by-construction" if cert.source is not None else "VCE-by-search"
-        return SurveyRow(n, family.value, shape, g.n_vertices, verdict, cert.source_tag)
+        return row + [verdict, cert.source_tag]
     kind = "isolated-vertex" if isinstance(cert.witness, IsolatedVertex) else "exhausted-search"
-    return SurveyRow(n, family.value, shape, g.n_vertices, "Not-VCE", kind)
+    return row + ["Not-VCE", kind]
 
 
 def cmd_survey(n_min: int, n_max: int, families: list[GraphFamily] | None = None,
@@ -165,9 +157,7 @@ def cmd_survey(n_min: int, n_max: int, families: list[GraphFamily] | None = None
     writer.writerow(["n", "family", "shape", "vertices", "verdict", "source"])
     for n in range(n_min, n_max + 1):
         for fam in fams:
-            row = _survey_row(n, fam, cap)
-            writer.writerow([row.n, row.family, row.shape, row.vertices,
-                             row.verdict, row.source])
+            writer.writerow(_survey_row(n, fam, cap))
     return out.getvalue()
 
 

@@ -33,9 +33,6 @@ class EdgePair:
         return f"({self.a},{self.b})"
 
 
-# a total graph's vertices are residues and edge pairs too; its old label names stay
-TotalOriginal, TotalEdge = Residue, EdgePair
-
 VertexLabel = Union[Residue, EdgePair]
 
 # side of the square blocks LabeledGraph compares for symmetry
@@ -288,11 +285,6 @@ def total_graph(g: LabeledGraph) -> LabeledGraph:
     adj[nv:, :nv] = inc.T
     return LabeledGraph._from_keys(np.concatenate([g.keys(), edge_keys]), adj,
                                    modulus=g.modulus)
-
-
-def isolated_vertices(g: LabeledGraph) -> list[VertexLabel]:
-    """Labels of all degree-0 vertices, in vertex-id order."""
-    return [g.label(v) for v in np.flatnonzero(g.degrees() == 0).tolist()]
 
 
 class GraphFamily(Enum):

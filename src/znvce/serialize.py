@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .graphs import (
     Residue,
     VertexLabel,
     _keys_of,
-    _residue_keys,
 )
 from .vce import Bipartition
 
@@ -52,19 +50,6 @@ def _parse_residue(s: str) -> int:
         return int(s)
     except ValueError:
         raise FormatError(f"cannot parse vertex label {s!r}") from None
-
-
-def _parse_keys(entries, family: GraphFamily) -> np.ndarray:
-    """The label keys (see LabeledGraph) of parse_label over a list of
-    entries. Residue labels that are all exact strs or ints are parsed by one
-    map(int) into keys; anything else, and pair labels, go through
-    parse_label one entry at a time, which names a bad entry."""
-    if family in _RESIDUE_FAMILIES and set(map(type, entries)) <= {str, int}:
-        try:
-            return _residue_keys(list(map(int, entries)))
-        except ValueError:
-            pass
-    return _keys_of([parse_label(s, family) for s in entries])
 
 
 def graph_to_json_obj(g: LabeledGraph, family: GraphFamily) -> dict:
@@ -104,7 +89,7 @@ def graph_from_json(text: str) -> tuple[LabeledGraph, GraphFamily]:
         family = _family_of(obj)
         keys = _rendered_keys(obj["vertices"], family)
         if keys is None:
-            keys = _parse_keys(obj["vertices"], family)
+            keys = _keys_of([parse_label(s, family) for s in obj["vertices"]])
         if _ascending_in_range(ends, len(keys)):
             return _graph(keys, ends, obj.get("n")), family
     return graph_from_json_obj(_load(text, "graph"))
@@ -112,7 +97,7 @@ def graph_from_json(text: str) -> tuple[LabeledGraph, GraphFamily]:
 
 def graph_from_json_obj(obj) -> tuple[LabeledGraph, GraphFamily]:
     family = _family_of(obj)
-    keys = _parse_keys(obj["vertices"], family)
+    keys = _keys_of([parse_label(s, family) for s in obj["vertices"]])
     return _graph(keys, _edge_ends(obj["edges"], len(keys)), obj.get("n")), family
 
 
@@ -276,23 +261,8 @@ def _ascending_in_range(ends: np.ndarray, nv: int) -> bool:
 
 def _edge_ends(edges, nv: int) -> np.ndarray:
     """The edge list as an (|E|, 2) int64 array, every entry a pair of ints
-    (bools count, as for isinstance) with 0 <= i < j < nv.
-
-    The whole list is checked in bulk; only when that fails are the entries
-    walked one by one, to name the first bad one."""
-    # exact list types only, and the ends as numpy reads them: ints that fit
-    # int64, or bools. Anything else (floats, strs, None, nested lists, ints
-    # out of int64 range) takes the walk
-    if set(map(type, edges)) <= {list, tuple} and set(map(len, edges)) <= {2}:
-        try:
-            flat = np.array(list(chain.from_iterable(edges)))
-        except (ValueError, OverflowError):
-            pass
-        else:
-            if flat.ndim == 1 and flat.dtype.kind in "ib":
-                ends = flat.astype(np.int64, copy=False).reshape(-1, 2)
-                if _ascending_in_range(ends, nv):
-                    return ends
+    (bools count, as for isinstance) with 0 <= i < j < nv; FormatError
+    names the first bad entry."""
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise FormatError(f"malformed edge entry {e!r}")

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DomainError, PartitionError
+from .errors import PartitionError
 from .graphs import LabeledGraph
 
 
@@ -22,12 +21,6 @@ class Verdict(Enum):
     VERY_COST_EFFECTIVE = "VeryCostEffective"
     COST_EFFECTIVE_ONLY = "CostEffectiveOnly"
     NOT_COST_EFFECTIVE = "NotCostEffective"
-
-
-class PartitionVerdict(Enum):
-    VERY_COST_EFFECTIVE = "VeryCostEffective"
-    COST_EFFECTIVE_ONLY = "CostEffectiveOnly"
-    NEITHER = "Neither"
 
 
 class Bipartition:
@@ -88,43 +81,30 @@ class Bipartition:
         return f"Bipartition(|R|={self.graph_size - int(self.in_b.sum())}, |B|={int(self.in_b.sum())})"
 
 
-# a vertex's verdict by the sign of inside - outside, plus one
+# a vertex's verdict by the sign of inside - outside, plus one; best first
 _BY_SIGN = (Verdict.VERY_COST_EFFECTIVE, Verdict.COST_EFFECTIVE_ONLY, Verdict.NOT_COST_EFFECTIVE)
-
-
-@dataclass(frozen=True)
-class VertexTally:
-    vertex: int
-    inside: int
-    outside: int
-    verdict: Verdict
 
 
 @dataclass(frozen=True, eq=False)
 class VceReport:
-    """Neighbour counts for every vertex plus the partition-level verdict.
+    """Neighbour counts for every vertex plus the partition's verdict.
 
     `inside` and `outside` are read-only int arrays by vertex id: the
-    vertex's neighbours on its own side and on the other. `witnesses` lists
-    the vertices that are not very cost effective, ascending by id; empty
-    exactly when the verdict is VeryCostEffective.
+    vertex's neighbours on its own side and on the other. The partition
+    takes its worst vertex's verdict. `witnesses` lists the vertices that are
+    not very cost effective, ascending by id; empty exactly when the verdict
+    is VeryCostEffective.
     """
 
     inside: np.ndarray
     outside: np.ndarray
-    partition_verdict: PartitionVerdict
+    partition_verdict: Verdict
     witnesses: tuple[int, ...]
 
     def vertex_verdicts(self) -> list[Verdict]:
         """Each vertex's verdict, by id."""
         signs = np.sign(self.inside - self.outside) + 1
         return list(map(_BY_SIGN.__getitem__, signs.tolist()))
-
-    @cached_property
-    def tallies(self) -> tuple[VertexTally, ...]:
-        """One VertexTally per vertex, by id, built on first use."""
-        return tuple(map(VertexTally, range(self.inside.size), self.inside.tolist(),
-                         self.outside.tolist(), self.vertex_verdicts()))
 
 
 def _validate(g: LabeledGraph, part: Bipartition) -> None:
@@ -143,27 +123,14 @@ def _inside_counts(g: LabeledGraph, part: Bipartition) -> tuple[np.ndarray, np.n
     return inside, deg - inside
 
 
-def tally(g: LabeledGraph, part: Bipartition, v: int) -> VertexTally:
-    _validate(g, part)
-    if not 0 <= v < g.n_vertices:
-        raise DomainError(f"vertex {v} out of range for a {g.n_vertices}-vertex graph")
-    return check_bipartition(g, part).tallies[v]
-
-
 def check_bipartition(g: LabeledGraph, part: Bipartition) -> VceReport:
     """Full per-vertex report; deterministic, no short-circuiting."""
     _validate(g, part)
     inside, outside = _inside_counts(g, part)
     inside.setflags(write=False)
     outside.setflags(write=False)
-    vce = inside < outside
-    if vce.all():
-        verdict = PartitionVerdict.VERY_COST_EFFECTIVE
-    elif (inside <= outside).all():
-        verdict = PartitionVerdict.COST_EFFECTIVE_ONLY
-    else:
-        verdict = PartitionVerdict.NEITHER
-    witnesses = tuple(np.flatnonzero(~vce).tolist())
+    verdict = _BY_SIGN[int(np.sign(inside - outside).max()) + 1]
+    witnesses = tuple(np.flatnonzero(inside >= outside).tolist())
     return VceReport(inside, outside, verdict, witnesses)
 
 

@@ -8,7 +8,7 @@ import io
 
 import numpy as np
 
-from znvce import Bipartition, LabeledGraph, PartitionVerdict, Residue, Verdict, VertexTally
+from znvce import Bipartition, LabeledGraph, Residue
 
 
 def complete_graph(m: int) -> LabeledGraph:
@@ -160,43 +160,49 @@ def random_graph(nv: int, seed: int, p: float = 0.4) -> LabeledGraph:
 
 
 def ref_tallies(g, part: Bipartition) -> tuple:
-    """One VertexTally per vertex, counted from the adjacency rows and
-    judged by the definition, one vertex at a time."""
+    """One (vertex, inside, outside, verdict) tuple per vertex, counted from
+    the adjacency rows and judged by the definition, one vertex at a time.
+    The verdict is the word `znvce check` prints for it."""
     out = []
     for v in range(g.n_vertices):
         nbrs = np.flatnonzero(g.adj[v])
         inside = int(np.count_nonzero(part.in_b[nbrs] == part.in_b[v]))
         outside = nbrs.size - inside
         if inside < outside:
-            verdict = Verdict.VERY_COST_EFFECTIVE
+            verdict = "VeryCostEffective"
         elif inside == outside:
-            verdict = Verdict.COST_EFFECTIVE_ONLY
+            verdict = "CostEffectiveOnly"
         else:
-            verdict = Verdict.NOT_COST_EFFECTIVE
-        out.append(VertexTally(v, inside, outside, verdict))
+            verdict = "NotCostEffective"
+        out.append((v, inside, outside, verdict))
     return tuple(out)
 
 
+def ref_partition_verdict(tallies) -> str:
+    """A partition's verdict by the definition: very cost effective when all
+    its vertices are, not cost effective when any vertex is not, and cost
+    effective only otherwise."""
+    verdicts = [verdict for _, _, _, verdict in tallies]
+    if all(verdict == "VeryCostEffective" for verdict in verdicts):
+        return "VeryCostEffective"
+    if any(verdict == "NotCostEffective" for verdict in verdicts):
+        return "NotCostEffective"
+    return "CostEffectiveOnly"
+
+
 def ref_check_text(g, part: Bipartition) -> tuple[str, int]:
-    """`znvce check`'s output and exit code as first written: a line per
-    VertexTally, each rendered on its own. The tallies come from
+    """`znvce check`'s output and exit code, written out a line per vertex,
+    each rendered on its own. The counts and verdicts come from
     ref_tallies, so nothing of the package's report is used."""
     tallies = ref_tallies(g, part)
-    if all(t.verdict is Verdict.VERY_COST_EFFECTIVE for t in tallies):
-        partition_verdict = PartitionVerdict.VERY_COST_EFFECTIVE
-    elif all(t.verdict is not Verdict.NOT_COST_EFFECTIVE for t in tallies):
-        partition_verdict = PartitionVerdict.COST_EFFECTIVE_ONLY
-    else:
-        partition_verdict = PartitionVerdict.NEITHER
-    witnesses = [t.vertex for t in tallies if t.verdict is not Verdict.VERY_COST_EFFECTIVE]
+    partition_verdict = ref_partition_verdict(tallies)
     out = io.StringIO()
-    for t in tallies:
-        lab = g.labels[t.vertex].render()
-        side = part.side_of(t.vertex)
-        out.write(f"{lab} [{side}]: inside {t.inside} outside {t.outside} {t.verdict.value}\n")
-    out.write(f"partition verdict: {partition_verdict.value}\n")
+    for v, inside, outside, verdict in tallies:
+        lab = g.labels[v].render()
+        out.write(f"{lab} [{part.side_of(v)}]: inside {inside} outside {outside} {verdict}\n")
+    out.write(f"partition verdict: {partition_verdict}\n")
+    witnesses = [v for v, _, _, verdict in tallies if verdict != "VeryCostEffective"]
     if witnesses:
         names = " ".join(g.labels[v].render() for v in witnesses)
         out.write(f"witnesses: {names}\n")
-    code = 0 if partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE else 1
-    return out.getvalue(), code
+    return out.getvalue(), 0 if partition_verdict == "VeryCostEffective" else 1

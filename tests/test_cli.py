@@ -124,7 +124,7 @@ class TestCheck:
         lines = text.splitlines()
         assert "5 [R]: inside 4 outside 0 NotCostEffective" in lines
         assert "10 [B]: inside 0 outside 4 VeryCostEffective" in lines
-        assert "partition verdict: Neither" in lines
+        assert "partition verdict: NotCostEffective" in lines
         assert lines[-1] == "witnesses: 3 5 6 9 12"
 
     def test_missing_file(self, tmp_path):

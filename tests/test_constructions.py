@@ -15,15 +15,14 @@ from znvce import (
     Residue,
     SearchStatus,
     ShapeError,
-    TotalOriginal,
     brute_force,
+    check_bipartition,
     dispatch,
     gamma,
     is_vce,
     line_graph,
     nilradical_graph,
     non_nilradical_graph,
-    tally,
     total_graph,
     vce_line_pq,
     vce_nilradical,
@@ -108,13 +107,13 @@ class TestP2Q2:
         assert len(b3) == 5  # (p(q-2)+1)/2
         assert is_vce(g, part)
 
-    def test_n_225_tally_law(self):
+    def test_n_225_count_law(self):
         # vertices in the R-side pure block: inside (pq-3)/2, outside at least (pq-1)/2
         g = gamma(225)
-        part = vce_p2q2(225)
-        t = tally(g, part, g.id_of(Residue(15)))
-        assert t.inside == 6
-        assert t.outside >= 7
+        rep = check_bipartition(g, vce_p2q2(225))
+        v = g.id_of(Residue(15))
+        assert rep.inside[v] == 6
+        assert rep.outside[v] >= 7
 
     def test_n_441(self):
         g = gamma(441)
@@ -139,9 +138,9 @@ class TestLinePQ:
         assert part.r_ids.size == 4 and part.b_ids.size == 4
         r_labels = {g.labels[int(i)].render() for i in part.r_ids}
         assert r_labels == {"(3,5)", "(5,9)", "(6,10)", "(10,12)"}
+        rep = check_bipartition(g, part)
         for i in part.r_ids:
-            t = tally(g, part, int(i))
-            assert (t.inside, t.outside) == (1, 3)  # (p+q)/2 - 3 and (p+q)/2 - 1
+            assert (rep.inside[i], rep.outside[i]) == (1, 3)  # (p+q)/2 - 3 and (p+q)/2 - 1
 
     def test_3_7(self):
         g = line_graph(gamma(21))
@@ -185,8 +184,8 @@ class TestNilradical:
         r, b = side_residues(g, part)
         assert r == [3, 6, 12, 15, 21, 24]  # p(p-1) elements
         assert b == [9, 18]  # p-1 elements
-        t = tally(g, part, g.id_of(Residue(9)))
-        assert (t.inside, t.outside) == (1, 6)  # p-2 and p(p-1)
+        rep, v = check_bipartition(g, part), g.id_of(Residue(9))
+        assert (rep.inside[v], rep.outside[v]) == (1, 6)  # p-2 and p(p-1)
 
     def test_8_layered(self):
         g = nilradical_graph(8)
@@ -247,17 +246,17 @@ class TestTotalPQ:
         g = total_graph(gamma(15))
         part = vce_total_pq(3, 5)
         assert g.n_vertices == 14  # pq - 1
-        t = tally(g, part, g.id_of(TotalOriginal(3)))
-        assert (t.inside, t.outside) == (1, 3)
+        rep, v = check_bipartition(g, part), g.id_of(Residue(3))
+        assert (rep.inside[v], rep.outside[v]) == (1, 3)
         assert is_vce(g, part)
 
     def test_original_vertices_split_by_prime(self):
         g = total_graph(gamma(15))
         part = vce_total_pq(3, 5)
         r_orig = {g.labels[int(i)].k for i in part.r_ids
-                  if isinstance(g.labels[int(i)], TotalOriginal)}
+                  if isinstance(g.labels[int(i)], Residue)}
         b_orig = {g.labels[int(i)].k for i in part.b_ids
-                  if isinstance(g.labels[int(i)], TotalOriginal)}
+                  if isinstance(g.labels[int(i)], Residue)}
         assert r_orig == {3, 6, 9, 12}
         assert b_orig == {5, 10}
 

@@ -10,11 +10,8 @@ from znvce import (
     GraphFamily,
     LabeledGraph,
     Residue,
-    TotalEdge,
-    TotalOriginal,
     build_family,
     gamma,
-    isolated_vertices,
     line_graph,
     nilradical_graph,
     non_nilradical_graph,
@@ -130,24 +127,23 @@ def test_total_graph_of_gamma_10():
     t = total_graph(gamma(10))
     assert t.n_vertices == 9
     assert sorted(t.degrees().tolist()) == [2, 2, 2, 2, 5, 5, 5, 5, 8]
-    assert t.degree(t.id_of(TotalOriginal(5))) == 8
+    assert t.degree(t.id_of(Residue(5))) == 8
     for k in (2, 4, 6, 8):
-        assert t.degree(t.id_of(TotalOriginal(k))) == 2
+        assert t.degree(t.id_of(Residue(k))) == 2
     for lab in t.labels:
-        if isinstance(lab, TotalEdge):
+        if isinstance(lab, EdgePair):
             assert t.degree(t.id_of(lab)) == 5
 
 
 def test_total_graph_single_vertex():
     t = total_graph(gamma(4))
     assert t.n_vertices == 1
-    assert t.labels == (TotalOriginal(2),)
+    assert t.labels == (Residue(2),)
 
 
 def test_total_graph_labels_are_residues_and_edge_pairs():
     # one label type per kind: a total graph's vertices are gamma's residues,
     # then its edges as pairs, so an edgeless graph is its own total graph
-    assert TotalOriginal is Residue and TotalEdge is EdgePair
     t = total_graph(gamma(15))
     assert t.labels[:6] == gamma(15).labels
     assert t.labels[6:] == line_graph(gamma(15)).labels
@@ -177,9 +173,12 @@ def test_transforms_reject_non_residue_labels():
 
 
 def test_isolated_vertices():
-    assert [lab.k for lab in isolated_vertices(non_nilradical_graph(18))] == [3, 15]
-    assert isolated_vertices(gamma(16)) == []
-    assert [lab.k for lab in isolated_vertices(non_nilradical_graph(12))] == [2, 10]
+    def isolated(g):
+        return [g.labels[v].k for v in np.flatnonzero(g.degrees() == 0)]
+
+    assert isolated(non_nilradical_graph(18)) == [3, 15]
+    assert isolated(gamma(16)) == []
+    assert isolated(non_nilradical_graph(12)) == [2, 10]
 
 
 def test_complete_bipartite_structure_for_pq():
@@ -360,7 +359,7 @@ def test_labels_must_be_ascending_pairs():
     with pytest.raises(ValueError):
         EdgePair(5, 3)
     with pytest.raises(ValueError):
-        TotalEdge(4, 4)
+        EdgePair(4, 4)
 
 
 def test_modulus_survives_transforms():

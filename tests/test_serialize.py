@@ -13,8 +13,6 @@ from znvce import (
     GraphFamily,
     PartitionError,
     Residue,
-    TotalEdge,
-    TotalOriginal,
     build_family,
     gamma,
     graph_from_json,
@@ -45,8 +43,8 @@ class TestParseLabel:
             parse_label("15", GraphFamily.LINE_OF_GAMMA)
 
     def test_total_family_accepts_both(self):
-        assert parse_label("15", GraphFamily.TOTAL_OF_GAMMA) == TotalOriginal(15)
-        assert parse_label("(3,15)", GraphFamily.TOTAL_OF_GAMMA) == TotalEdge(3, 15)
+        assert parse_label("15", GraphFamily.TOTAL_OF_GAMMA) == Residue(15)
+        assert parse_label("(3,15)", GraphFamily.TOTAL_OF_GAMMA) == EdgePair(3, 15)
 
     def test_garbage(self):
         with pytest.raises(FormatError):
@@ -297,7 +295,7 @@ def test_files_graph_to_json_writes_take_the_bulk_path(monkeypatch):
     graphs += [(build_family(695, GraphFamily.TOTAL_OF_GAMMA), GraphFamily.TOTAL_OF_GAMMA),
                (build_family(1207, GraphFamily.LINE_OF_GAMMA), GraphFamily.LINE_OF_GAMMA)]
     texts = [graph_to_json(g, fam) for g, fam in graphs]
-    for name in ("_load", "_edge_ends", "_parse_keys", "parse_label"):
+    for name in ("_load", "_edge_ends", "parse_label"):
         monkeypatch.setattr(serialize, name, _refuse)
     for (g, fam), text in zip(graphs, texts):
         if g.n_vertices:

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_bipartitions, complete_graph, random_graph, ref_tallies
+from helpers import (all_bipartitions, complete_graph, random_graph, ref_partition_verdict,
+                     ref_tallies)
 from znvce import (
     Bipartition,
-    DomainError,
+    GraphFamily,
     PartitionError,
-    PartitionVerdict,
     Residue,
     Verdict,
     build_family,
@@ -16,7 +16,6 @@ from znvce import (
     gamma,
     is_vce,
     non_nilradical_graph,
-    tally,
 )
 
 
@@ -63,62 +62,53 @@ class TestBipartition:
             p.in_b[0] = True
 
 
-def test_tally_gamma_6():
+def test_report_gamma_6():
     g = gamma(6)  # labels 2, 3, 4
     p = Bipartition.from_sides(3, [1], [0, 2])
-    t = tally(g, p, 1)
-    assert (t.inside, t.outside) == (0, 2)
-    assert t.verdict is Verdict.VERY_COST_EFFECTIVE
+    rep = check_bipartition(g, p)
+    assert (rep.inside[1], rep.outside[1]) == (0, 2)
+    assert rep.vertex_verdicts()[1] is Verdict.VERY_COST_EFFECTIVE
 
 
-def test_tally_isolated_vertex_is_cost_effective_only():
+def test_isolated_vertex_is_cost_effective_only():
     g = non_nilradical_graph(12)  # vertex 2 (id 0) is isolated
     p = Bipartition.from_sides(6, [0, 1, 2], [3, 4, 5])
-    t = tally(g, p, 0)
-    assert (t.inside, t.outside) == (0, 0)
-    assert t.verdict is Verdict.COST_EFFECTIVE_ONLY
+    rep = check_bipartition(g, p)
+    assert (rep.inside[0], rep.outside[0]) == (0, 0)
+    assert rep.vertex_verdicts()[0] is Verdict.COST_EFFECTIVE_ONLY
 
 
-def test_tally_gamma_16_multiples_of_4():
+def test_report_gamma_16_multiples_of_4():
     g = gamma(16)
     p = mult_split(g, 4)  # R = {4, 8, 12}
-    t8 = tally(g, p, g.id_of(Residue(8)))
-    assert (t8.inside, t8.outside) == (2, 4)
-    assert t8.verdict is Verdict.VERY_COST_EFFECTIVE
-    t4 = tally(g, p, g.id_of(Residue(4)))
-    assert (t4.inside, t4.outside) == (2, 0)
-    assert t4.verdict is Verdict.NOT_COST_EFFECTIVE
-
-
-def test_tally_errors():
-    g = gamma(6)
-    p = Bipartition.from_sides(3, [0], [1, 2])
-    with pytest.raises(DomainError):
-        tally(g, p, 3)
-    with pytest.raises(PartitionError):
-        tally(gamma(16), p, 0)
+    rep = check_bipartition(g, p)
+    v8, v4 = g.id_of(Residue(8)), g.id_of(Residue(4))
+    assert (rep.inside[v8], rep.outside[v8]) == (2, 4)
+    assert rep.vertex_verdicts()[v8] is Verdict.VERY_COST_EFFECTIVE
+    assert (rep.inside[v4], rep.outside[v4]) == (2, 0)
+    assert rep.vertex_verdicts()[v4] is Verdict.NOT_COST_EFFECTIVE
 
 
 def test_check_gamma_15_natural_split():
     g = gamma(15)
     rep = check_bipartition(g, mult_split(g, 3))
-    assert rep.partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE
+    assert rep.partition_verdict is Verdict.VERY_COST_EFFECTIVE
     assert rep.witnesses == ()
-    assert len(rep.tallies) == 6
+    assert rep.inside.size == rep.outside.size == 6
 
 
 def test_check_gamma_15_failing_split():
     g = gamma(15)  # labels 3, 5, 6, 9, 10, 12
     p = Bipartition.from_sides(6, [0, 1, 2, 3, 5], [4])  # R = {3,5,6,9,12}, B = {10}
     rep = check_bipartition(g, p)
-    assert rep.partition_verdict is PartitionVerdict.NEITHER
-    by_label = {g.labels[t.vertex].k: t for t in rep.tallies}
-    assert (by_label[5].inside, by_label[5].outside) == (4, 0)
-    assert by_label[5].verdict is Verdict.NOT_COST_EFFECTIVE
-    assert (by_label[10].inside, by_label[10].outside) == (0, 4)
-    assert by_label[10].verdict is Verdict.VERY_COST_EFFECTIVE
+    assert rep.partition_verdict is Verdict.NOT_COST_EFFECTIVE
+    verdicts = rep.vertex_verdicts()
+    by_label = {lab.k: (rep.inside[v], rep.outside[v], verdicts[v])
+                for v, lab in enumerate(g.labels)}
+    assert by_label[5] == (4, 0, Verdict.NOT_COST_EFFECTIVE)
+    assert by_label[10] == (0, 4, Verdict.VERY_COST_EFFECTIVE)
     for k in (3, 6, 9, 12):
-        assert (by_label[k].inside, by_label[k].outside) == (1, 1)
+        assert by_label[k] == (1, 1, Verdict.COST_EFFECTIVE_ONLY)
     assert [g.labels[w].k for w in rep.witnesses] == [3, 5, 6, 9, 12]
 
 
@@ -127,11 +117,11 @@ def test_check_complete_graphs():
     for in_b in all_bipartitions(3):
         rep = check_bipartition(k3, Bipartition(in_b))
         assert rep.partition_verdict in (
-            PartitionVerdict.COST_EFFECTIVE_ONLY, PartitionVerdict.NEITHER)
+            Verdict.COST_EFFECTIVE_ONLY, Verdict.NOT_COST_EFFECTIVE)
     k4 = complete_graph(4)
     rep = check_bipartition(k4, Bipartition.from_sides(4, [0, 1], [2, 3]))
-    assert rep.partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE
-    assert all((t.inside, t.outside) == (1, 2) for t in rep.tallies)
+    assert rep.partition_verdict is Verdict.VERY_COST_EFFECTIVE
+    assert rep.inside.tolist() == [1] * 4 and rep.outside.tolist() == [2] * 4
 
 
 def test_check_rejects_size_mismatch():
@@ -139,27 +129,48 @@ def test_check_rejects_size_mismatch():
         check_bipartition(gamma(15), Bipartition.from_sides(3, [0], [1, 2]))
 
 
-def test_report_verdict_matches_tallies():
-    g = random_graph(9, seed=5)
-    for in_b in (np.arange(9) < 4, np.arange(9) % 2 == 0, np.arange(9) < 1):
-        rep = check_bipartition(g, Bipartition(in_b))
-        all_vce = all(t.verdict is Verdict.VERY_COST_EFFECTIVE for t in rep.tallies)
-        none_bad = all(t.verdict is not Verdict.NOT_COST_EFFECTIVE for t in rep.tallies)
-        if all_vce:
-            assert rep.partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE
-        elif none_bad:
-            assert rep.partition_verdict is PartitionVerdict.COST_EFFECTIVE_ONLY
-        else:
-            assert rep.partition_verdict is PartitionVerdict.NEITHER
-        assert rep.witnesses == tuple(
-            t.vertex for t in rep.tallies if t.verdict is not Verdict.VERY_COST_EFFECTIVE)
+def _report_tuples(rep) -> tuple:
+    """The report's counts and verdicts in ref_tallies' shape."""
+    verdicts = [v.value for v in rep.vertex_verdicts()]
+    return tuple(zip(range(rep.inside.size), rep.inside.tolist(), rep.outside.tolist(),
+                     verdicts))
+
+
+def _small_family_graphs():
+    """Every family graph of 2 to 8 vertices for n <= 120."""
+    return [g for fam in GraphFamily for n in range(2, 121)
+            if 2 <= (g := build_family(n, fam)).n_vertices <= 8]
+
+
+def _small_random_graphs():
+    """Random graphs of 2 to 8 vertices, sparse to dense."""
+    return [random_graph(nv, seed=seed, p=p) for nv in range(2, 9)
+            for seed, p in enumerate((0.2, 0.5, 0.8))]
+
+
+@pytest.mark.parametrize("graphs", [_small_family_graphs, _small_random_graphs])
+def test_partition_takes_its_worst_vertex_verdict(graphs):
+    # each graph under every bipartition
+    order, seen = list(Verdict), set()
+    for g in graphs():
+        for in_b in all_bipartitions(g.n_vertices):
+            part = Bipartition(in_b)
+            rep = check_bipartition(g, part)
+            seen.add(rep.partition_verdict)
+            assert rep.partition_verdict is max(rep.vertex_verdicts(), key=order.index)
+            ref = ref_tallies(g, part)
+            assert rep.partition_verdict.value == ref_partition_verdict(ref)
+            assert _report_tuples(rep) == ref
+            assert rep.witnesses == tuple(
+                v for v, _, _, verdict in ref if verdict != "VeryCostEffective")
+    assert seen == set(Verdict)
 
 
 @pytest.mark.parametrize("n, family", [
     (15, "gamma"), (60, "gamma"), (72, "nilradical"), (90, "omega"),
     (21, "line-of-gamma"), (20, "total-of-gamma"),
 ])
-def test_tallies_match_the_reference(n, family):
+def test_counts_match_the_reference(n, family):
     g = build_family(n, family)
     rng = np.random.default_rng(n)
     for _ in range(4):
@@ -167,19 +178,15 @@ def test_tallies_match_the_reference(n, family):
         in_b ^= rng.random(g.n_vertices) < 0.5
         part = Bipartition(in_b)
         rep = check_bipartition(g, part)
-        assert rep.tallies == ref_tallies(g, part)
-        assert [t.verdict for t in rep.tallies] == rep.vertex_verdicts()
-        assert rep.inside.tolist() == [t.inside for t in rep.tallies]
-        assert rep.outside.tolist() == [t.outside for t in rep.tallies]
+        assert _report_tuples(rep) == ref_tallies(g, part)
 
 
-def test_report_arrays_are_read_only_and_tallies_cached():
+def test_report_arrays_are_read_only():
     g = gamma(15)
     rep = check_bipartition(g, mult_split(g, 3))
     for arr in (rep.inside, rep.outside):
         with pytest.raises(ValueError):
             arr[0] = 7
-    assert rep.tallies is rep.tallies
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000), st.integers(0, 10_000))
@@ -194,17 +201,16 @@ def test_swap_symmetry_and_sum_law(nv, gseed, mseed):
     rep = check_bipartition(g, p)
     rep_swapped = check_bipartition(g, p.swapped())
     assert rep.partition_verdict is rep_swapped.partition_verdict
-    assert rep.tallies == rep_swapped.tallies
+    assert _report_tuples(rep) == _report_tuples(rep_swapped)
     assert rep.witnesses == rep_swapped.witnesses
     # per-vertex counts always sum to the degree
-    for t in rep.tallies:
-        assert t.inside + t.outside == g.degree(t.vertex)
+    for v in range(nv):
+        assert rep.inside[v] + rep.outside[v] == g.degree(v)
     # total inside count is twice the number of intra-side edges
     intra = sum(1 for i, j in g.edges() if p.in_b[i] == p.in_b[j])
-    assert sum(t.inside for t in rep.tallies) == 2 * intra
+    assert int(rep.inside.sum()) == 2 * intra
     # the boolean fast path agrees with the full report
-    assert is_vce(g, p) == (rep.partition_verdict is PartitionVerdict.VERY_COST_EFFECTIVE)
-    assert [tally(g, p, v) for v in range(nv)] == list(rep.tallies)
+    assert is_vce(g, p) == (rep.partition_verdict is Verdict.VERY_COST_EFFECTIVE)
 
 
 def test_isolated_vertex_blocks_every_bipartition():
@@ -213,7 +219,7 @@ def test_isolated_vertex_blocks_every_bipartition():
         assert g.n_vertices <= 12
         for in_b in all_bipartitions(g.n_vertices):
             rep = check_bipartition(g, Bipartition(in_b))
-            assert rep.partition_verdict is not PartitionVerdict.VERY_COST_EFFECTIVE
+            assert rep.partition_verdict is not Verdict.VERY_COST_EFFECTIVE
             assert iso in rep.witnesses
 
 
