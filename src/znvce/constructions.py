@@ -168,19 +168,15 @@ class _Row(NamedTuple):
     It covers the `family` graph of every n whose shape has kind `kind`, and
     exactly `primes` distinct primes when that is not None. `p2_refusal` is
     the reason p = 2 (the shape's p) is left out, or None when it is not.
-    `split_name` names the split, a function of the graph and the shape.
+    `split` makes the partition from the graph and the shape.
     """
 
     family: GraphFamily
     kind: ShapeKind
     primes: int | None
     p2_refusal: str | None
-    split_name: str
+    split: Callable[[LabeledGraph, ModulusShape], Bipartition]
     cid: ConstructionId
-
-    def split(self, g: LabeledGraph, shape: ModulusShape) -> Bipartition:
-        # looked up by name on every call, so a replaced split takes effect
-        return globals()[self.split_name](g, shape)
 
 
 _F, _K, _C = GraphFamily, ShapeKind, ConstructionId
@@ -190,29 +186,28 @@ _F, _K, _C = GraphFamily, ShapeKind, ConstructionId
 # tests/test_routing_table.py; the gamma p^2 q^2 one says only that p = 2
 # lies outside the theorem (gamma(100) has such a split).
 _TABLE = (
-    _Row(_F.GAMMA, _K.SQUAREFREE_COMPOSITE, 2, None, "_squarefree_split", _C.COR2_2_PQ),
-    _Row(_F.GAMMA, _K.SQUAREFREE_COMPOSITE, None, None,
-         "_squarefree_split", _C.THM2_1_SQUAREFREE),
-    _Row(_F.GAMMA, _K.P_SQUARED_Q, None, None, "_p2q_split", _C.THM2_3I_P2Q),
+    _Row(_F.GAMMA, _K.SQUAREFREE_COMPOSITE, 2, None, _squarefree_split, _C.COR2_2_PQ),
+    _Row(_F.GAMMA, _K.SQUAREFREE_COMPOSITE, None, None, _squarefree_split, _C.THM2_1_SQUAREFREE),
+    _Row(_F.GAMMA, _K.P_SQUARED_Q, None, None, _p2q_split, _C.THM2_3I_P2Q),
     _Row(_F.GAMMA, _K.P_SQUARED_Q_SQUARED, None,
-         "p = 2 is not covered; both primes must be odd", "_p2q2_split", _C.THM2_3II_P2Q2),
-    _Row(_F.LINE_OF_GAMMA, _K.SQUAREFREE_COMPOSITE, 2, None, "_line_split", _C.THM2_4_LINE_PQ),
+         "p = 2 is not covered; both primes must be odd", _p2q2_split, _C.THM2_3II_P2Q2),
+    _Row(_F.LINE_OF_GAMMA, _K.SQUAREFREE_COMPOSITE, 2, None, _line_split, _C.THM2_4_LINE_PQ),
     _Row(_F.NILRADICAL, _K.P_SQUARED, None,
          "the nilpotent graph of 4 is a single vertex; no bipartition",
-         "_balanced_split", _C.THM3_3I_P2),
+         _balanced_split, _C.THM3_3I_P2),
     _Row(_F.NILRADICAL, _K.P_SQUARED_Q_SQUARED, None,
          "p = 2 gives the complete graph on 2q - 1 vertices, odd order, "
          "which has no very-cost-effective split (n = 36 checked exhaustively)",
-         "_balanced_split", _C.THM3_3II_P2Q2_NIL),
-    _Row(_F.NILRADICAL, _K.P_CUBED, None, None, "_p3_split", _C.THM3_3III_P3),
+         _balanced_split, _C.THM3_3II_P2Q2_NIL),
+    _Row(_F.NILRADICAL, _K.P_CUBED, None, None, _p3_split, _C.THM3_3III_P3),
     _Row(_F.NILRADICAL, _K.P_SQUARED_Q, None,
          "the squared prime must be odd; 4q leaves a single vertex",
-         "_balanced_split", _C.THM3_3IV_P2Q_NIL),
+         _balanced_split, _C.THM3_3IV_P2Q_NIL),
     _Row(_F.OMEGA, _K.SQUAREFREE_COMPOSITE, None, None,
-         "_squarefree_split", _C.THM3_5_OMEGA_SQUAREFREE),
+         _squarefree_split, _C.THM3_5_OMEGA_SQUAREFREE),
     _Row(_F.TOTAL_OF_GAMMA, _K.SQUAREFREE_COMPOSITE, 2,
          "p = 2 total graphs are never very cost effective; no construction",
-         "_total_split", _C.THM4_2_TOTAL_PQ),
+         _total_split, _C.THM4_2_TOTAL_PQ),
 )
 
 

@@ -35,9 +35,6 @@ class EdgePair:
 
 VertexLabel = Union[Residue, EdgePair]
 
-# side of the square blocks LabeledGraph compares for symmetry
-_SYMMETRY_TILE = 256
-
 # most bytes of rows that one gather of the line-graph builder copies at once:
 # blocks of 256 KiB built the shared-endpoint block of line-of-gamma(1500)
 # fastest of 64 KiB..4 MiB tried (18 ms, 2-core Xeon)
@@ -58,27 +55,34 @@ class LabeledGraph:
     __slots__ = ("_keys", "adj", "modulus", "_deg", "_labels", "_id_of", "_names")
 
     def __init__(self, labels: Iterable[VertexLabel], adj, modulus: int | None = None):
-        self._init(_keys_of(labels), np.array(adj, dtype=bool), modulus)
+        keys, a = _keys_of(labels), np.array(adj, dtype=bool)
+        if a.shape != (len(keys), len(keys)):
+            raise ValueError(f"adjacency shape {a.shape} does not match {len(keys)} labels")
+        # one |V|^2 temporary, no larger than the copy above
+        if not np.array_equal(a, a.T):
+            raise ValueError("adjacency must be symmetric")
+        if a.diagonal().any():
+            raise ValueError("self-loops are not allowed")
+        self._init(keys, a, modulus)
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, adj: np.ndarray,
                    modulus: int | None = None) -> "LabeledGraph":
-        """A graph that takes `keys` and `adj`, a fresh bool matrix that
-        nothing else holds, as its own without the copies `__init__` makes."""
+        """A graph that takes `keys` and `adj` as its own without the copies
+        and adjacency checks `__init__` makes; only the keys are checked.
+
+        The caller hands in a fresh |V|-square bool matrix that nothing else
+        holds, symmetric with a clear diagonal. The three family builders
+        (`_residue_graph`, `line_graph`, `total_graph`) build it so, and
+        `serialize._graph` sets both halves of each edge it has checked to
+        satisfy 0 <= i < j < |V|."""
         g = cls.__new__(cls)
         g._init(keys, adj, modulus)
         return g
 
     def _init(self, keys: np.ndarray, a: np.ndarray, modulus: int | None) -> None:
-        nv = len(keys)
-        if keys.shape != (nv, 2):
+        if keys.shape != (len(keys), 2):
             raise ValueError(f"label keys must have shape (|V|, 2), got {keys.shape}")
-        if a.shape != (nv, nv):
-            raise ValueError(f"adjacency shape {a.shape} does not match {nv} labels")
-        if not _is_symmetric(a):
-            raise ValueError("adjacency must be symmetric")
-        if a.diagonal().any():
-            raise ValueError("self-loops are not allowed")
         if (keys[:, 0] > keys[:, 1]).any():
             raise ValueError("label keys must be residues (k, k) or ascending pairs (a, b)")
         # the rows are distinct iff no two adjacent rows, once sorted, are equal
@@ -192,17 +196,6 @@ def _keys_of(labels: Iterable[VertexLabel]) -> np.ndarray:
         else:
             raise ValueError(f"labels must be Residue or EdgePair, got {type(lab).__name__}")
     return _int_array(rows).reshape(-1, 2)
-
-
-def _is_symmetric(a: np.ndarray) -> bool:
-    # tile against mirrored tile: no |V|^2 temporary, and each transposed read
-    # stays within a cache-sized block
-    t = _SYMMETRY_TILE
-    for i in range(0, a.shape[0], t):
-        for j in range(i, a.shape[0], t):
-            if (a[i:i + t, j:j + t] != a[j:j + t, i:i + t].T).any():
-                return False
-    return True
 
 
 def _residue_graph(n: int, residues: np.ndarray) -> LabeledGraph:

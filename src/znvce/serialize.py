@@ -57,7 +57,7 @@ def graph_to_json_obj(g: LabeledGraph, family: GraphFamily) -> dict:
         "n": g.modulus,
         "family": GraphFamily(family).value,
         "vertices": list(g.names()),
-        "edges": [[i, j] for i, j in g.edges()],
+        "edges": np.argwhere(np.triu(g.adj)).tolist(),
     }
 
 

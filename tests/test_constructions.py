@@ -413,7 +413,10 @@ def _lone_first_vertex(g, *args):
 def test_failing_split_never_leaves_unverified(monkeypatch, split, n, family, public):
     """A construction whose split is wrong must raise, from dispatch and
     from the public builder alike, rather than return the partition."""
-    monkeypatch.setattr(constructions, split, _lone_first_vertex)
+    wrong = getattr(constructions, split)
+    table = tuple(row._replace(split=_lone_first_vertex) if row.split is wrong else row
+                  for row in constructions._TABLE)
+    monkeypatch.setattr(constructions, "_TABLE", table)
     with pytest.raises(ConstructionError):
         dispatch(n, family)
     with pytest.raises(ConstructionError):
