@@ -312,7 +312,7 @@ def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, 
     v = isolated_obstruction(g)
     if v is not None:
         return NotVce(g, IsolatedVertex(v, g.label(v)))
-    out = brute_force(g, vertex_cap, isolated_shortcut=False)
+    out = brute_force(g, vertex_cap)
     if out.status is SearchStatus.NONE_EXISTS:
         return NotVce(g, ExhaustedSearch(out.partitions_examined))
     if out.status is SearchStatus.INCONCLUSIVE:

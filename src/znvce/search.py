@@ -24,11 +24,11 @@ DEFAULT_VERTEX_CAP = 26
 # space spans at most 2^_MAX_FREE vectors
 _LO_VECTORS, _BLOCK, _HI_CHUNK, _MAX_FREE = 1 << 12, 1 << 14, 1 << 8, 62
 
-# brute_force asks the refuter on scans of _REFUTE_FROM masks or more. A
-# branch node costs about as much as 2500 masks of the kernel (11 us against
-# 230 M masks/s on total-of-gamma(49), 2-core Xeon), so a node budget of
-# 1/2^_REFUTE_SHIFT of the masks left to scan, but at least _REFUTE_MIN,
-# costs a refuter that gives up about 4% of the scan
+# brute_force asks the refuter once, before it scans, on scans of
+# _REFUTE_FROM masks or more. A branch node costs about as much as 2500 masks
+# of the kernel (11 us against 230 M masks/s on total-of-gamma(49), 2-core
+# Xeon), so a node budget of 1/2^_REFUTE_SHIFT of the masks to scan, but at
+# least _REFUTE_MIN, costs a refuter that gives up about 4% of the scan
 _REFUTE_FROM, _REFUTE_SHIFT, _REFUTE_MIN = 1 << 17, 16, 16
 
 
@@ -54,13 +54,13 @@ def isolated_obstruction(g: LabeledGraph) -> int | None:
     return int(deg0[0]) if deg0.size else None
 
 
-def _unsearched(g: LabeledGraph, t0: float, isolated_shortcut: bool) -> SearchOutcome | None:
+def _unsearched(g: LabeledGraph, t0: float) -> SearchOutcome | None:
     """NoneExists with nothing examined when g has fewer than two vertices
-    or, with isolated_shortcut, an isolated vertex; otherwise None."""
+    or an isolated vertex; otherwise None."""
     if g.n_vertices < 2:
         reason = "no valid bipartition on fewer than two vertices"
     else:
-        v = isolated_obstruction(g) if isolated_shortcut else None
+        v = isolated_obstruction(g)
         if v is None:
             return None
         reason = f"isolated vertex {g.label(v).render()}"
@@ -180,74 +180,52 @@ def _refute(adj: np.ndarray, budget: int | None = None) -> bool:
     return False
 
 
-def brute_force(
-    g: LabeledGraph,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    *,
-    symmetry_reduction: bool = True,
-    isolated_shortcut: bool = True,
-) -> SearchOutcome:
+def brute_force(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     """Enumerate bipartitions in binary-counting order over vertex ids.
 
-    Mask k puts vertex v on side B when bit v of k is set. With
-    symmetry_reduction, vertex 0 is pinned to side R and bit i stands for
-    vertex i + 1, so masks 1 .. 2^(|V|-1) - 1 are scanned; without it, masks
-    1 .. 2^|V| - 2. A found partition is the first in this order and
-    partitions_examined is its mask, so runs are deterministic either way.
+    Vertex 0 stays on side R, and bit i of mask k puts vertex i + 1 on side
+    B, so masks 1 .. 2^(|V|-1) - 1 are scanned. A found partition is the
+    first in this order and partitions_examined is its mask, so runs are
+    deterministic. As in class_search, an isolated vertex is NoneExists with
+    none examined.
 
     The scan is the class search's kernel, _first_vce, run over singleton
-    classes: a class of radix 2 per free vertex and of radix 1 for a pinned
-    one, so a vector's index is its mask. Each candidate costs one add and
-    one bitwise OR per vertex, and memory stays bounded whatever the cap.
-    More than 62 free vertices is a DomainError, raised before anything is
+    classes: a class of radix 2 per free vertex and of radix 1 for vertex 0,
+    so a vector's index is its mask. Each candidate costs one add and one
+    bitwise OR per vertex, and memory stays bounded whatever the cap. More
+    than 62 free vertices is a DomainError, raised before anything is
     allocated.
 
-    A scan of 2^17 masks or more first tries to refute the graph by
-    forced-side propagation alone, and again, with a bounded number of
-    branch nodes, if its first eighth has no hit. So the count of a
-    NoneExists outcome covers every mask, each one either evaluated or ruled
-    out by a neighbour-count bound; a refuter that gives up leaves the scan
-    to go on where it stopped.
+    A scan of 2^17 masks or more first asks the refuter once, with a
+    bounded number of branch nodes; a refuter that gives up leaves the
+    whole scan to run. Either way the count of a NoneExists outcome covers
+    every mask, each one evaluated or ruled out by a neighbour-count bound.
     """
     t0 = perf_counter()
-    out = _unsearched(g, t0, isolated_shortcut)
+    out = _unsearched(g, t0)
     if out is not None:
         return out
     nv = g.n_vertices
     if nv > vertex_cap:
         return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
                              reason=f"{nv} vertices exceeds the exhaustive cap {vertex_cap}")
-    pinned = 1 if symmetry_reduction else 0
-    free = nv - pinned
+    free = nv - 1
     if free > _MAX_FREE:
         raise DomainError("exhaustive search needs one mask bit per free vertex; "
                           f"{free} exceeds the limit of {_MAX_FREE}")
-    # mask 0 (all on R) and the all-B mask are never very cost effective, so
-    # scanning them changes no outcome; the examined count starts at mask 1
+    # mask 0 (all on R) is never very cost effective, so scanning it changes
+    # no outcome; the examined count starts at mask 1
     ones = np.ones(nv, dtype=np.int64)
     radix = np.full(nv, 2)
-    radix[:pinned] = 1
-
-    def scan(start: int, stop: int) -> int | None:
-        return _first_vce(g.adj, ones, ones == 0, radix, start, stop)
-
+    radix[0] = 1
     space = 1 << free
-    if space < _REFUTE_FROM:
-        mask = scan(0, space)
-    elif _refute(g.adj, 0):
-        mask = None
-    else:
-        eighth = space >> 3
-        mask = scan(0, eighth)
-        if mask is None and not _refute(
-                g.adj, max(_REFUTE_MIN, (space - eighth) >> _REFUTE_SHIFT)):
-            mask = scan(eighth, space)
+    refuted = space >= _REFUTE_FROM and _refute(g.adj, max(_REFUTE_MIN, space >> _REFUTE_SHIFT))
+    mask = None if refuted else _first_vce(g.adj, ones, ones == 0, radix)
     if mask is None:
-        last = space - 1 if symmetry_reduction else space - 2
-        return SearchOutcome(SearchStatus.NONE_EXISTS, None, last, perf_counter() - t0,
+        return SearchOutcome(SearchStatus.NONE_EXISTS, None, space - 1, perf_counter() - t0,
                              reason="enumeration exhausted")
     in_b = np.zeros(nv, dtype=bool)
-    in_b[pinned:] = [(mask >> i) & 1 for i in range(free)]
+    in_b[1:] = [(mask >> i) & 1 for i in range(free)]
     return SearchOutcome(SearchStatus.FOUND, Bipartition(in_b), mask, perf_counter() - t0)
 
 
@@ -378,7 +356,7 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     anything is enumerated; one over 2^62 within the budget is a DomainError.
     """
     t0 = perf_counter()
-    out = _unsearched(g, t0, isolated_shortcut=True)
+    out = _unsearched(g, t0)
     if out is not None:
         return out
     cls, clique, reps = _twins(g.adj)
@@ -394,8 +372,7 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
                           f"vectors exceeds the limit of 2^{_MAX_FREE}")
     # classes are complete or empty to each other, so one member's row speaks
     # for its class
-    index = _first_vce(g.adj[np.ix_(reps, reps)] | np.diag(clique), size, clique, radix,
-                       0, space)
+    index = _first_vce(g.adj[np.ix_(reps, reps)] | np.diag(clique), size, clique, radix)
     if index is None:
         return SearchOutcome(SearchStatus.NONE_EXISTS, None, space, perf_counter() - t0,
                              reason="class space exhausted")
@@ -404,9 +381,9 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     return SearchOutcome(SearchStatus.FOUND, _expand(cls, b), index + 1, perf_counter() - t0)
 
 
-def _first_vce(m: np.ndarray, size: np.ndarray, clique: np.ndarray, radix: np.ndarray,
-               start: int, stop: int) -> int | None:
-    """Smallest index in [start, stop) of a very-cost-effective vector, or None.
+def _first_vce(m: np.ndarray, size: np.ndarray, clique: np.ndarray,
+               radix: np.ndarray) -> int | None:
+    """Smallest index of a very-cost-effective vector, or None.
 
     A vector holds a digit d_i < radix_i per class, numbered in mixed-radix
     order with class 0 the lowest digit, and puts b_i = d_i members of a
@@ -467,12 +444,12 @@ def _first_vce(m: np.ndarray, size: np.ndarray, clique: np.ndarray, radix: np.nd
         np.add(lo_tab[:, None, :w], inc[:, f + 1: f + r, None],
                out=lo_tab[:, w: r * w].reshape(n_chk, r - 1, w))
         w *= r
-    g_start, g_stop = start // n_lo, -(-stop // n_lo)  # the high vectors in range
-    rows = max(1, min(_BLOCK // n_lo, g_stop - g_start))
+    n_hi = prod(radix_l[n_lo_cls:])  # the high vectors
+    rows = max(1, min(_BLOCK // n_lo, n_hi))
     sums = np.empty((n_chk, rows, n_lo), dtype=dt)  # written in place, block by block
     ors = np.empty((rows, n_lo), dtype=dt)
-    for g0 in range(g_start, g_stop, _HI_CHUNK):
-        gs = np.arange(g0, min(g0 + _HI_CHUNK, g_stop))
+    for g0 in range(0, n_hi, _HI_CHUNK):
+        gs = np.arange(g0, min(g0 + _HI_CHUNK, n_hi))
         hi_tab, stride = np.zeros((n_chk, gs.size), dtype=dt), 1
         for c in range(n_lo_cls, k):
             hi_tab += inc[:, first_l[c] + gs // stride % radix_l[c]]
@@ -481,10 +458,9 @@ def _first_vce(m: np.ndarray, size: np.ndarray, clique: np.ndarray, radix: np.nd
             r = min(rows, gs.size - h)
             np.add(lo_tab[:, None, :], hi_tab[:, h: h + r, None], out=sums[:, :r])
             np.bitwise_or.reduce(sums[:, :r], axis=0, out=ors[:r])
-            at = (g0 + h) * n_lo
-            ok = ors[:r].ravel()[max(0, start - at): stop - at].view(ut) < span
+            ok = ors[:r].ravel().view(ut) < span
             if ok.any():
-                return max(at, start) + int(ok.argmax())
+                return (g0 + h) * n_lo + int(ok.argmax())
     return None
 
 

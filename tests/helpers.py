@@ -70,21 +70,19 @@ def ref_has_vce(adj: np.ndarray) -> bool:
     return False
 
 
-def ref_first_vce(adj: np.ndarray, pin_first: bool) -> tuple[int | None, int]:
+def ref_first_vce(adj: np.ndarray) -> tuple[int | None, int]:
     """First very-cost-effective mask in binary-counting order, and how many
     masks were examined up to it (all of them when there is none).
 
-    Bit i of a mask puts vertex i on side B, or vertex i + 1 when pin_first
-    keeps vertex 0 on side R. Masks run from 1; without pin_first the all-B
-    mask is left out.
+    Vertex 0 stays on side R, and bit i of a mask puts vertex i + 1 on side
+    B. Masks run from 1.
     """
     nv = adj.shape[0]
-    free = nv - 1 if pin_first else nv
-    last = 2**free - 1 if pin_first else 2**free - 2
+    free = nv - 1
     examined = 0
-    for mask in range(1, last + 1):
+    for mask in range(1, 2**free):
         examined += 1
-        side = [False] * (nv - free) + [bool((mask >> i) & 1) for i in range(free)]
+        side = [False] + [bool((mask >> i) & 1) for i in range(free)]
         good = True
         for v in range(nv):
             same = sum(1 for u in range(nv) if adj[v][u] and side[u] == side[v])
@@ -98,9 +96,10 @@ def ref_first_vce(adj: np.ndarray, pin_first: bool) -> tuple[int | None, int]:
 
 
 def ref_vce_masks(adj: np.ndarray, pin_first: bool) -> np.ndarray:
-    """Every very-cost-effective mask of ref_first_vce's order, ascending,
-    from all masks at once: one bool side matrix with a row per mask, one
-    matmul for every vertex's B-neighbours under every mask."""
+    """Every very-cost-effective mask, ascending, from all masks at once: one
+    bool side matrix with a row per mask, one matmul for every vertex's
+    B-neighbours under every mask. With pin_first the order is
+    ref_first_vce's; without it, bit i of a mask puts vertex i on side B."""
     nv = adj.shape[0]
     free = nv - 1 if pin_first else nv
     masks = np.arange(1, 2**free)
@@ -156,6 +155,16 @@ def random_graph(nv: int, seed: int, p: float = 0.4) -> LabeledGraph:
     adj = rng.random((nv, nv)) < p
     adj = np.triu(adj, 1)
     adj = adj | adj.T
+    return LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
+
+
+def random_graph_without_isolated(nv: int, seed: int, p: float = 0.4) -> LabeledGraph:
+    """random_graph with each vertex it leaves isolated joined to the next
+    vertex (mod nv), so that the exhaustive search gets past its isolated
+    vertex shortcut."""
+    adj = random_graph(nv, seed, p).adj.copy()
+    v = np.flatnonzero(~adj.any(axis=1))
+    adj[v, (v + 1) % nv] = adj[(v + 1) % nv, v] = True
     return LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
 
 

@@ -141,8 +141,7 @@ def kernel_first(join: np.ndarray, size, clique) -> int | None:
     """class_search's kernel on a class structure given outright."""
     size, clique = np.asarray(size), np.asarray(clique, dtype=bool)
     radix = np.where(clique, size + 1, 2)
-    return search._first_vce(join | np.diag(clique), size, clique, radix,
-                             0, int(np.prod(radix)))
+    return search._first_vce(join | np.diag(clique), size, clique, radix)
 
 
 def small_residue_graphs():

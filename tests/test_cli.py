@@ -10,6 +10,8 @@ from helpers import ref_check_text
 from znvce import (
     Bipartition,
     GraphFamily,
+    LabeledGraph,
+    Residue,
     build_family,
     cli,
     constructions,
@@ -336,6 +338,19 @@ class TestSearch:
         assert code == 1
         assert "status: NoneExists" in text
         assert "examined: 63" in text
+
+    def test_none_exists_by_branch_nodes_from_file(self, tmp_path):
+        # a K_5 beside a 20-cycle, which the refuter closes by branching
+        # before the scan: the count still covers all 2^24 - 1 masks
+        adj = np.zeros((25, 25), dtype=bool)
+        adj[:5, :5] = ~np.eye(5, dtype=bool)
+        v = np.arange(20)
+        adj[5 + v, 5 + (v + 1) % 20] = adj[5 + (v + 1) % 20, 5 + v] = True
+        g = LabeledGraph([Residue(i + 1) for i in range(25)], adj)
+        gp = write(tmp_path / "k5c20.json", graph_to_json(g, GraphFamily.GAMMA))
+        text, code = cmd_search(graph_path=gp)
+        assert code == 1
+        assert text.splitlines()[:2] == ["status: NoneExists", "examined: 16777215"]
 
     def test_inconclusive_beyond_cap(self):
         # gamma(100) has 7 twin classes and 800 > 2^9 class vectors

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     complete_graph,
     random_graph,
+    random_graph_without_isolated,
     ref_first_vce,
     ref_has_vce,
     ref_local_search,
@@ -28,7 +31,7 @@ from znvce import (
     non_nilradical_graph,
     total_graph,
 )
-from znvce import search
+from znvce import constructions, search
 from znvce.cli import cmd_survey
 
 
@@ -87,28 +90,10 @@ class TestBruteForce:
         assert out.partitions_examined == 0
         assert out.reason == "isolated vertex 2"
 
-    def test_shortcut_off_agrees_by_enumeration(self):
-        for n, expect_examined in ((12, 31), (18, 255)):
-            g = non_nilradical_graph(n)
-            out = brute_force(g, isolated_shortcut=False)
-            assert out.status is SearchStatus.NONE_EXISTS
-            assert out.partitions_examined == expect_examined
-            assert out.reason == "enumeration exhausted"
-
-    def test_unreduced_k4(self):
-        out = brute_force(complete_graph(4), symmetry_reduction=False)
-        assert out.status is SearchStatus.FOUND
-        assert out.partitions_examined == 3
-        assert out.partition.b_ids.tolist() == [0, 1]
-
-    def test_reduced_and_unreduced_agree(self):
-        for n in (15, 16, 21, 24, 25, 27, 30):
-            g = gamma(n)
-            red = brute_force(g)
-            unred = brute_force(g, symmetry_reduction=False)
-            assert red.status is unred.status
-            if red.status is SearchStatus.FOUND:
-                assert is_vce(g, red.partition) and is_vce(g, unred.partition)
+    def test_graph_and_cap_are_the_only_parameters(self):
+        params = inspect.signature(brute_force).parameters
+        assert list(params) == ["g", "vertex_cap"]
+        assert params["vertex_cap"].default == DEFAULT_VERTEX_CAP
 
     def test_gamma_30_partition_content(self):
         g = gamma(30)
@@ -127,8 +112,6 @@ class TestBruteForce:
         assert isolated_obstruction(g) is None
         with pytest.raises(DomainError, match="exceeds the limit of 62"):
             brute_force(g, vertex_cap=100)
-        with pytest.raises(DomainError):
-            brute_force(random_graph(63, seed=0), vertex_cap=100, symmetry_reduction=False)
         # the cap is checked first: a graph over it is Inconclusive, not an error
         assert brute_force(g, vertex_cap=69).status is SearchStatus.INCONCLUSIVE
 
@@ -156,100 +139,79 @@ class TestBlockBoundaries:
 @given(st.integers(2, 10), st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_brute_force_matches_reference_enumeration(nv, seed):
-    g = random_graph(nv, seed=seed)
-    out = brute_force(g, isolated_shortcut=False)
+    g = random_graph_without_isolated(nv, seed=seed)
+    out = brute_force(g)
     expected = ref_has_vce(np.asarray(g.adj, dtype=np.int64))
     assert (out.status is SearchStatus.FOUND) == expected
     if expected:
         assert is_vce(g, out.partition)
-    unred = brute_force(g, symmetry_reduction=False, isolated_shortcut=False)
-    assert unred.status is out.status
 
 
-@given(st.integers(2, 12), st.integers(0, 10_000), st.sampled_from([0.25, 0.4, 0.6]),
-       st.booleans())
+@given(st.integers(2, 12), st.integers(0, 10_000), st.sampled_from([0.25, 0.4, 0.6]))
 @settings(max_examples=100, deadline=None)
-def test_brute_force_matches_reference_order(nv, seed, p, pin_first):
-    g = random_graph(nv, seed=seed, p=p)
-    out = brute_force(g, symmetry_reduction=pin_first, isolated_shortcut=False)
-    mask, examined = ref_first_vce(g.adj, pin_first)
+def test_brute_force_matches_reference_order(nv, seed, p):
+    g = random_graph_without_isolated(nv, seed=seed, p=p)
+    out = brute_force(g)
+    mask, examined = ref_first_vce(g.adj)
     assert out.status is (SearchStatus.FOUND if mask is not None else SearchStatus.NONE_EXISTS)
     assert out.partitions_examined == examined
     if mask is not None:
-        first = 1 if pin_first else 0
-        b = [v for v in range(first, nv) if (mask >> (v - first)) & 1]
+        b = [v for v in range(1, nv) if (mask >> (v - 1)) & 1]
         assert out.partition.b_ids.tolist() == b
     # the vectorised reference that the larger graphs below use agrees
-    hits = ref_vce_masks(g.adj, pin_first)
+    hits = ref_vce_masks(g.adj, pin_first=True)
     assert (int(hits[0]) if hits.size else None) == mask
 
 
-def _assert_first_mask(g: LabeledGraph, pin_first: bool) -> int | None:
+def _assert_first_mask(g: LabeledGraph) -> int | None:
     """brute_force's outcome against ref_vce_masks; the first mask or None."""
     nv = g.n_vertices
-    out = brute_force(g, symmetry_reduction=pin_first, isolated_shortcut=False)
-    hits = ref_vce_masks(g.adj, pin_first)
-    free = nv - 1 if pin_first else nv
+    out = brute_force(g)
+    hits = ref_vce_masks(g.adj, pin_first=True)
     if not hits.size:
         assert out.status is SearchStatus.NONE_EXISTS
-        assert out.partitions_examined == 2**free - (1 if pin_first else 2)
+        assert out.partitions_examined == 2**(nv - 1) - 1
         return None
     mask = int(hits[0])
     assert out.status is SearchStatus.FOUND and out.partitions_examined == mask
-    assert out.partition.b_ids.tolist() == [v for v in range(nv - free, nv)
-                                           if (mask >> (v - nv + free)) & 1]
+    assert out.partition.b_ids.tolist() == [v for v in range(1, nv) if (mask >> (v - 1)) & 1]
     return mask
 
 
-@given(st.integers(13, 17), st.integers(0, 10_000), st.sampled_from([0.25, 0.4, 0.6]),
-       st.booleans())
+@given(st.integers(13, 17), st.integers(0, 10_000), st.sampled_from([0.25, 0.4, 0.6]))
 @settings(max_examples=40, deadline=None)
-def test_brute_force_matches_reference_order_past_the_low_table(nv, seed, p, pin_first):
-    # 13 to 17 vertices put 1 to 5 mask bits past the kernel's 4096-mask low
-    # table; 17 unpinned is the shortest scan that asks the refuter
-    _assert_first_mask(random_graph(nv, seed=seed, p=p), pin_first)
+def test_brute_force_matches_reference_order_past_the_low_table(nv, seed, p):
+    # 13 to 17 vertices put 0 to 4 mask bits past the kernel's 4096-mask low
+    # table
+    _assert_first_mask(random_graph_without_isolated(nv, seed=seed, p=p))
 
 
-def test_first_masks_past_the_low_table_and_the_eighth():
+def test_first_masks_past_the_low_table():
     # sparse graphs of 15 to 17 vertices often find their first partition
-    # past mask 4096, and 17 unpinned ones past the refuter's eighth, 2^14
-    masks = [_assert_first_mask(random_graph(nv, seed=seed, p=0.25), pin_first)
-             for nv in (15, 16, 17) for pin_first in (True, False) for seed in range(4)]
+    # past mask 4096
+    masks = [_assert_first_mask(random_graph_without_isolated(nv, seed=seed, p=0.25))
+             for nv in (15, 16, 17) for seed in range(4)]
     assert sum(m is not None and m > 4096 for m in masks) >= 8
-    assert any(m is not None and m > 1 << 14 for m in masks[-4:])
 
 
 @given(st.integers(2, 14), st.integers(0, 10_000), st.booleans(),
-       st.sampled_from([(1 << 12, 1 << 14, 1 << 8), (1, 1, 1), (4, 8, 2), (8, 16, 3)]),
-       st.data())
+       st.sampled_from([(1 << 12, 1 << 14, 1 << 8), (1, 1, 1), (4, 8, 2), (8, 16, 3)]))
 @settings(max_examples=100, deadline=None)
-def test_kernel_scans_exactly_its_index_range(nv, seed, pin_first, sizes, data):
-    # the first very-cost-effective mask in [start, stop), with the real
+def test_kernel_finds_the_first_mask_across_block_ends(nv, seed, pin_first, sizes):
+    # the first very-cost-effective mask of the whole space, with the real
     # table sizes and with tiny ones that put many block and chunk ends
-    # inside the range
+    # before it; without pin_first the first class has radix 2, as a twin
+    # class of class_search does
     g = random_graph(nv, seed=seed, p=0.3)
-    free = nv - 1 if pin_first else nv
-    start = data.draw(st.integers(0, 1 << free))
-    stop = data.draw(st.integers(start, 1 << free))
     hits = ref_vce_masks(g.adj, pin_first)
-    hits = hits[(hits >= start) & (hits < stop)]
     ones = np.ones(nv, dtype=np.int64)
     radix = np.full(nv, 2)
-    radix[:nv - free] = 1
+    radix[0] = 1 if pin_first else 2
     with pytest.MonkeyPatch.context() as mp:
         for name, value in zip(("_LO_VECTORS", "_BLOCK", "_HI_CHUNK"), sizes):
             mp.setattr(search, name, value)
-        got = search._first_vce(g.adj, ones, ones == 0, radix, start, stop)
+        got = search._first_vce(g.adj, ones, ones == 0, radix)
     assert got == (int(hits[0]) if hits.size else None)
-
-
-@given(st.integers(2, 10), st.integers(0, 10_000))
-@settings(max_examples=60, deadline=None)
-def test_shortcut_never_changes_the_answer(nv, seed):
-    g = random_graph(nv, seed=seed, p=0.25)
-    with_cut = brute_force(g)
-    without = brute_force(g, isolated_shortcut=False)
-    assert with_cut.status is without.status
 
 
 def _refuter_graph(nv: int, seed: int, kind: str) -> np.ndarray:
@@ -305,12 +267,21 @@ def _outcome(out) -> tuple:
 
 
 def _with_odd_clique(nv: int, seed: int, k: int, p: float) -> LabeledGraph:
-    """A random graph beside a disjoint K_k, k odd: no bipartition of K_k, so
-    none of the whole graph, is very cost effective."""
+    """A random graph with no isolated vertex beside a disjoint K_k, k odd:
+    no bipartition of K_k, so none of the whole graph, is very cost
+    effective."""
     adj = np.zeros((nv, nv), dtype=bool)
-    adj[:nv - k, :nv - k] = random_graph(nv - k, seed=seed, p=p).adj
+    adj[:nv - k, :nv - k] = random_graph_without_isolated(nv - k, seed=seed, p=p).adj
     adj[nv - k:, nv - k:] = ~np.eye(k, dtype=bool)
     return LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
+
+
+def _k5_beside_c20() -> LabeledGraph:
+    """K_5 on vertices 0-4 beside a 20-cycle on vertices 5-24."""
+    adj = np.zeros((25, 25), dtype=bool)
+    adj[:5, :5] = ~np.eye(5, dtype=bool)
+    adj[5:, 5:] = _cycle(20)
+    return LabeledGraph([Residue(i + 1) for i in range(25)], adj)
 
 
 def _survey_graphs_within_the_cap():
@@ -321,11 +292,16 @@ def _survey_graphs_within_the_cap():
                 yield g
 
 
+def _budget(nv: int) -> int:
+    """The node budget brute_force gives the refuter on |V| = nv."""
+    return max(16, 2**(nv - 1) >> 16)
+
+
 class TestRefuter:
-    """The bounded refutation that brute_force tries in a long scan, by
-    propagation alone before the first mask and with a node budget at the
-    first eighth: it may only make exhaustive negatives faster, never change
-    an outcome."""
+    """The bounded refutation that brute_force asks for once, before it
+    scans 2^17 masks or more, with a node budget of 1/2^16 of the masks (at
+    least 16): it may only make exhaustive negatives faster, never change an
+    outcome."""
 
     @staticmethod
     def _spy(monkeypatch, decide=search._refute) -> list[tuple[int, int | None, bool]]:
@@ -338,15 +314,14 @@ class TestRefuter:
         monkeypatch.setattr(search, "_refute", spy)
         return calls
 
-    def _assert_same_outcomes(self, monkeypatch, graphs, symmetry_reduction):
+    def _assert_same_outcomes(self, monkeypatch, graphs):
         """The refuter's calls for each graph, after checking that stubbing
         it to give up leaves every outcome as it was."""
         def run(calls):
             outcomes, per_graph = [], []
             for g in graphs:
                 before = len(calls)
-                outcomes.append(_outcome(brute_force(g, symmetry_reduction=symmetry_reduction,
-                                                     isolated_shortcut=False)))
+                outcomes.append(_outcome(brute_force(g)))
                 per_graph.append(calls[before:])
             return outcomes, per_graph
 
@@ -355,25 +330,25 @@ class TestRefuter:
         assert stubbed == live
         return per_graph
 
-    @pytest.mark.parametrize("symmetry_reduction", [True, False])
-    def test_survey_outcomes_unchanged(self, monkeypatch, symmetry_reduction):
+    def test_survey_outcomes_unchanged(self, monkeypatch):
         graphs = list(_survey_graphs_within_the_cap())
         assert len(graphs) == 152
-        per_graph = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
+        per_graph = self._assert_same_outcomes(monkeypatch, graphs)
         results = [r for calls in per_graph for _, _, r in calls]
         assert True in results and False in results
 
-    @pytest.mark.parametrize("symmetry_reduction", [True, False])
-    def test_random_outcomes_unchanged(self, monkeypatch, symmetry_reduction):
+    def test_random_outcomes_unchanged(self, monkeypatch):
         # each component is searched on its own, smallest first, so a K_5
-        # (4 branch nodes) is refuted whatever lies beside it, once the scan
-        # is long enough (18 vertices up) to call the refuter at all
+        # (4 branch nodes) is refuted by the one call, whatever lies beside
+        # it, once the scan is long enough (18 vertices up) to call the
+        # refuter at all
         graphs = [g for nv in range(16, 25, 2)
-                  for g in (random_graph(nv, seed=nv), random_graph(nv, seed=nv, p=0.7),
+                  for g in (random_graph_without_isolated(nv, seed=nv),
+                            random_graph_without_isolated(nv, seed=nv, p=0.7),
                             _with_odd_clique(nv, nv, 5, 0.4), _with_odd_clique(nv, nv, 7, 0.15))]
-        per_graph = self._assert_same_outcomes(monkeypatch, graphs, symmetry_reduction)
-        k5 = per_graph[2::4]
-        assert k5[0] == [] and [calls[-1][2] for calls in k5[1:]] == [True] * 4
+        per_graph = self._assert_same_outcomes(monkeypatch, graphs)
+        assert all(len(calls) <= 1 for calls in per_graph)
+        assert per_graph[2::4] == [[]] + [[(nv, _budget(nv), True)] for nv in range(18, 25, 2)]
         results = [r for calls in per_graph for _, _, r in calls]
         assert True in results and False in results
 
@@ -383,17 +358,71 @@ class TestRefuter:
         g = build_family(n, GraphFamily.TOTAL_OF_GAMMA)
         calls = self._spy(monkeypatch)
         out = brute_force(g)
-        assert calls == [(g.n_vertices, 0, True)]
+        assert calls == [(g.n_vertices, _budget(g.n_vertices), True)]
         assert _outcome(out) == (SearchStatus.NONE_EXISTS, examined, None,
                                  "enumeration exhausted")
 
-    def test_survey_27_to_39_never_branches(self, monkeypatch):
-        # only the propagation pass runs, and only on scans of 2^17 masks or
-        # more: 18 vertices or more, one of them pinned
+    def test_k5_beside_c20_is_refuted_by_branch_nodes(self, monkeypatch):
+        # propagation from the pins leaves K_5 open; 4 branch nodes close it
+        g = _k5_beside_c20()
+        assert not search._refute(g.adj, 0) and search._refute(g.adj, 4)
         calls = self._spy(monkeypatch)
+        out = brute_force(g)
+        assert calls == [(25, _budget(25), True)]
+        assert _outcome(out) == (SearchStatus.NONE_EXISTS, 16_777_215, None,
+                                 "enumeration exhausted")
+
+    @pytest.mark.parametrize("nv", [17, 18])
+    def test_asked_only_on_scans_of_2_to_the_17_masks(self, monkeypatch, nv):
+        # K_17 scans 2^16 masks with no call; K_18 scans 2^17 and asks once,
+        # with the least budget, and the refuter gives up on its partition
+        calls = self._spy(monkeypatch)
+        out = brute_force(complete_graph(nv))
+        assert calls == ([] if nv == 17 else [(18, 16, False)])
+        assert out.status is (SearchStatus.NONE_EXISTS if nv == 17 else SearchStatus.FOUND)
+
+    def test_isolated_vertex_stops_before_the_refuter_and_the_scan(self, monkeypatch):
+        adj = np.zeros((26, 26), dtype=bool)
+        adj[:25, :25] = _k5_beside_c20().adj
+        g = LabeledGraph([Residue(i + 1) for i in range(26)], adj)
+        calls = self._spy(monkeypatch)
+        monkeypatch.setattr(search, "_first_vce", None)
+        assert _outcome(brute_force(g)) == (SearchStatus.NONE_EXISTS, 0, None,
+                                            "isolated vertex 26")
+        assert calls == []
+
+    def test_one_scan_over_the_whole_space(self, monkeypatch):
+        # a refuter that gives up leaves one kernel call, vertex 0 of radix 1
+        calls = self._spy(monkeypatch)
+        scans = []
+
+        def kernel(m, size, clique, radix):
+            scans.append(radix.tolist())
+            return first_vce(m, size, clique, radix)
+        first_vce = search._first_vce
+        monkeypatch.setattr(search, "_first_vce", kernel)
+        g = gamma(40)
+        out = brute_force(g)
+        assert calls == [(g.n_vertices, _budget(g.n_vertices), False)]
+        assert scans == [[1] + [2] * (g.n_vertices - 1)]
+        assert out.status is SearchStatus.FOUND and out.partitions_examined == 599_186
+
+    def test_survey_27_to_39_asks_the_refuter_at_most_once_per_scan(self, monkeypatch):
+        # a brute_force call asks at most once, and only on scans of 2^17
+        # masks or more: 18 vertices or more, vertex 0 pinned
+        calls = self._spy(monkeypatch)
+        per_call = []
+
+        def counted(g, vertex_cap=DEFAULT_VERTEX_CAP):
+            before = len(calls)
+            out = brute_force(g, vertex_cap)
+            per_call.append((g.n_vertices, calls[before:]))
+            return out
+        monkeypatch.setattr(constructions, "brute_force", counted)
         cmd_survey(27, 39)
-        assert calls
-        assert all(budget == 0 and nv - 1 >= 17 for nv, budget, _ in calls)
+        assert calls and len(per_call) > len(calls)
+        assert all(len(asked) <= 1 for _, asked in per_call)
+        assert all(nv - 1 >= 17 for nv, asked in per_call if asked)
 
 
 class TestLocalSearch:
