@@ -63,32 +63,28 @@ class LabeledGraph:
             raise ValueError("adjacency must be symmetric")
         if a.diagonal().any():
             raise ValueError("self-loops are not allowed")
+        _check_distinct(keys)
         self._init(keys, a, modulus)
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray, adj: np.ndarray,
                    modulus: int | None = None) -> "LabeledGraph":
         """A graph that takes `keys` and `adj` as its own without the copies
-        and adjacency checks `__init__` makes; only the keys are checked.
+        and checks `__init__` makes; nothing is checked.
 
-        The caller hands in a fresh |V|-square bool matrix that nothing else
-        holds, symmetric with a clear diagonal. The three family builders
-        (`_residue_graph`, `line_graph`, `total_graph`) build it so, and
-        `serialize._graph` sets both halves of each edge it has checked to
-        satisfy 0 <= i < j < |V|."""
+        The caller hands in an (|V|, 2) int key array whose rows are (k, k)
+        or (a, b) with a < b, pairwise distinct, and a fresh |V|-square bool
+        matrix that nothing else holds, symmetric with a clear diagonal. The
+        three family builders (`_residue_graph`, `line_graph`, `total_graph`)
+        build both so. `serialize._graph` checks distinctness itself, takes
+        its rows from `_rendered_keys` or `parse_label`, which both check
+        a < b, and sets both halves of each edge it has checked to satisfy
+        0 <= i < j < |V|."""
         g = cls.__new__(cls)
         g._init(keys, adj, modulus)
         return g
 
     def _init(self, keys: np.ndarray, a: np.ndarray, modulus: int | None) -> None:
-        if keys.shape != (len(keys), 2):
-            raise ValueError(f"label keys must have shape (|V|, 2), got {keys.shape}")
-        if (keys[:, 0] > keys[:, 1]).any():
-            raise ValueError("label keys must be residues (k, k) or ascending pairs (a, b)")
-        # the rows are distinct iff no two adjacent rows, once sorted, are equal
-        s = keys[np.lexsort((keys[:, 1], keys[:, 0]))]
-        if (s[1:] == s[:-1]).all(axis=1).any():
-            raise ValueError("labels must be pairwise distinct")
         keys.setflags(write=False)
         a.setflags(write=False)
         self._keys = keys
@@ -171,22 +167,17 @@ def _label(a: int, b: int) -> VertexLabel:
     return Residue(a) if a == b else EdgePair(a, b)
 
 
-def _int_array(values) -> np.ndarray:
-    """`values` as int64, or as Python ints where int64 cannot hold them
-    (residues read from a file)."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def _residue_keys(ks) -> np.ndarray:
-    """The keys of Residue(k) for each k in `ks`."""
-    ks = _int_array(ks)
-    return np.stack([ks, ks], axis=1)
+def _check_distinct(keys: np.ndarray) -> None:
+    """Raise ValueError when two rows of `keys` name the same label."""
+    # the rows are distinct iff no two adjacent rows, once sorted, are equal
+    s = keys[np.lexsort((keys[:, 1], keys[:, 0]))]
+    if (s[1:] == s[:-1]).all(axis=1).any():
+        raise ValueError("labels must be pairwise distinct")
 
 
 def _keys_of(labels: Iterable[VertexLabel]) -> np.ndarray:
+    """The (|V|, 2) keys of `labels` as int64, or as Python ints where int64
+    cannot hold a residue (one read from a file or handed in by a caller)."""
     rows = []
     for lab in labels:
         if isinstance(lab, Residue):
@@ -195,7 +186,11 @@ def _keys_of(labels: Iterable[VertexLabel]) -> np.ndarray:
             rows.append((lab.a, lab.b))
         else:
             raise ValueError(f"labels must be Residue or EdgePair, got {type(lab).__name__}")
-    return _int_array(rows).reshape(-1, 2)
+    try:
+        keys = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        keys = np.array(rows, dtype=object)
+    return keys.reshape(-1, 2)
 
 
 def _residue_graph(n: int, residues: np.ndarray) -> LabeledGraph:
@@ -211,7 +206,7 @@ def _residue_graph(n: int, residues: np.ndarray) -> LabeledGraph:
     # row c of table[:, cls] is a class-c vertex's adjacency row: gather rows
     adj = np.take(table[:, cls], cls, axis=0)
     np.fill_diagonal(adj, False)
-    return LabeledGraph._from_keys(_residue_keys(vs), adj, modulus=n)
+    return LabeledGraph._from_keys(np.stack([vs, vs], axis=1), adj, modulus=n)
 
 
 def gamma(n: int) -> LabeledGraph:

@@ -20,6 +20,7 @@ from .graphs import (
     LabeledGraph,
     Residue,
     VertexLabel,
+    _check_distinct,
     _keys_of,
 )
 from .vce import Bipartition
@@ -78,19 +79,18 @@ def _load(text: str, what: str):
 
 
 def graph_from_json(text: str) -> tuple[LabeledGraph, GraphFamily]:
-    """Read a graph file. Text laid out exactly as graph_to_json writes it
-    has its edge list, and its labels when all are rendered ones, read by
-    digit-run scans (_digit_runs); only the rest goes to json.loads. Any
-    other text is read as graph_from_json_obj reads json.loads(text). Both
-    give the same graph, or raise the same error."""
+    """Read a graph file. Text laid out exactly as graph_to_json writes it,
+    whose labels are all rendered ones and whose edges are ascending and in
+    range, has both its labels and its edge list read by digit-run scans
+    (_digit_runs); only the rest goes to json.loads. Any other text is read
+    whole as graph_from_json_obj reads json.loads(text). Both give the same
+    graph, or raise the same error."""
     split = _split_edges(text)
     if split is not None:
         obj, ends = split
         family = _family_of(obj)
         keys = _rendered_keys(obj["vertices"], family)
-        if keys is None:
-            keys = _keys_of([parse_label(s, family) for s in obj["vertices"]])
-        if _ascending_in_range(ends, len(keys)):
+        if keys is not None and _ascending_in_range(ends, len(keys)):
             return _graph(keys, ends, obj.get("n")), family
     return graph_from_json_obj(_load(text, "graph"))
 
@@ -118,14 +118,15 @@ def _family_of(obj) -> GraphFamily:
 
 
 def _graph(keys: np.ndarray, ends: np.ndarray, modulus) -> LabeledGraph:
+    try:
+        _check_distinct(keys)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     nv = len(keys)
     adj = np.zeros((nv, nv), dtype=bool)
     adj[ends[:, 0], ends[:, 1]] = True
     adj[ends[:, 1], ends[:, 0]] = True
-    try:
-        return LabeledGraph._from_keys(keys, adj, modulus=modulus)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    return LabeledGraph._from_keys(keys, adj, modulus=modulus)
 
 
 _EDGES_KEY = ', "edges": '

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -12,13 +13,15 @@ from znvce import (
     Residue,
     build_family,
     gamma,
+    graph_from_json,
+    graph_to_json,
     line_graph,
     nilradical_graph,
     non_nilradical_graph,
     total_graph,
     zero_divisors,
 )
-from znvce import graphs
+from znvce import graphs, serialize
 
 GAMMA_16_EDGES = {(2, 8), (4, 8), (4, 12), (6, 8), (8, 10), (8, 12), (8, 14)}
 
@@ -213,27 +216,48 @@ def test_caller_adjacency_is_copied():
     assert g.has_edge(0, 1)
 
 
-def test_adopted_adjacency_is_checked_and_kept():
-    # the key constructor adopts its keys and adjacency without a copy, and
-    # checks the keys for repeated labels; the adjacency its callers hand in
-    # is symmetric and loop-free by construction, and is not checked
+def test_adopted_arrays_are_kept_and_caller_labels_are_checked():
+    # the key constructor adopts its keys and adjacency without a copy or a
+    # check; its callers build both right. Labels a caller hands in are
+    # checked for repeats
     keys, a = np.array([[1, 1], [1, 2]]), np.array([[False, True], [True, False]])
     g = LabeledGraph._from_keys(keys, a)
     assert g.keys() is keys and g.adj is a and not (keys.flags.writeable or a.flags.writeable)
     assert g.labels == (Residue(1), EdgePair(1, 2))
-    bad_keys = [
-        (np.array([[1, 1], [1, 1]]), np.zeros((2, 2), dtype=bool)),
-        (np.array([[1, 2], [3, 4], [1, 2]]), np.zeros((3, 3), dtype=bool)),
+    repeated = [
+        [Residue(1), Residue(1)],
+        [EdgePair(1, 2), EdgePair(3, 4), EdgePair(1, 2)],
     ]
-    for keys, adj in bad_keys:
-        with pytest.raises(ValueError):
-            LabeledGraph._from_keys(keys, adj)
+    for labels in repeated:
+        with pytest.raises(ValueError, match="labels must be pairwise distinct"):
+            LabeledGraph(labels, np.zeros((len(labels), len(labels)), dtype=bool))
 
 
-def test_keys_must_be_residues_or_ascending_pairs():
-    for keys in ([[2, 1]], [[1, 2, 3]], [1, 2]):
-        with pytest.raises(ValueError):
-            LabeledGraph._from_keys(np.array(keys), np.zeros((1, 1), dtype=bool))
+def test_labels_are_checked_for_repeats_only_where_they_come_in(monkeypatch):
+    # the builders make distinct keys by construction and are not checked;
+    # a caller's labels are checked once, and a graph file's once on either
+    # reader path
+    calls, check = [], graphs._check_distinct
+
+    def counted(keys):
+        calls.append(len(keys))
+        return check(keys)
+
+    monkeypatch.setattr(graphs, "_check_distinct", counted)
+    monkeypatch.setattr(serialize, "_check_distinct", counted)
+    for family in GraphFamily:
+        for n in range(2, 61):
+            build_family(n, family)
+    assert calls == []
+    g = total_graph(gamma(15))
+    LabeledGraph(g.labels, g.adj)
+    assert calls == [g.n_vertices]
+    text = graph_to_json(g, GraphFamily.TOTAL_OF_GAMMA)
+    indented = json.dumps(json.loads(text), indent=1)
+    for t in (text, indented):
+        calls.clear()
+        assert graph_from_json(t) == (g, GraphFamily.TOTAL_OF_GAMMA)
+        assert calls == [g.n_vertices]
 
 
 def test_residue_and_pair_keys_never_collide():
@@ -263,9 +287,9 @@ def test_residues_past_int64_keep_their_labels():
 def test_object_constructor_rebuilds_every_family_graph():
     # labels and keys are two views of one thing: rebuilding a graph from its
     # label objects gives the same graph, names and ids. The builders hand
-    # their adjacency to the key constructor unchecked, so passing it through
-    # the checked one here is the check that they build it symmetric and
-    # loop-free
+    # their keys and adjacency to the key constructor unchecked, so passing
+    # them through the checked one here is the check that they build
+    # distinct labels and a symmetric, loop-free adjacency
     for family in GraphFamily:
         for n in range(2, 201):
             g = build_family(n, family)

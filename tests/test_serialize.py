@@ -320,11 +320,19 @@ def test_the_edge_list_scan_reads_across_its_pieces(monkeypatch, scan_bytes):
     ("total-of-gamma", '["3", "(3,5) (5,6)", "(6,9)"]'),
     ("gamma", '["2", "9999999999999999999", "4"]'),
     ("total-of-gamma", '["2", "(2,9999999999999999999)", "(3,4)"]'),
+    ("gamma", '["3", "005", "6"]'),
+    ("gamma", '["3", 5, "6"]'),
+    ("total-of-gamma", '["3", "(3,5)", "(5, 6)"]'),
 ])
-def test_labels_the_scan_does_not_take_read_as_the_reference(family, vertices):
-    # labels holding the separator that joins them, and values past int64
+def test_labels_the_scan_does_not_take_read_as_the_reference(monkeypatch, family, vertices):
+    # labels holding the separator that joins them, values past int64, and
+    # labels not as render() writes them: the edge list scans, but the file
+    # goes whole to the general reader
     text = '{"n": 15, "family": "%s", "vertices": %s, "edges": [[0, 1]]}' % (family, vertices)
+    calls = []
+    monkeypatch.setattr(serialize, "_load", lambda *a: calls.append(a) or _load(*a))
     _assert_reads_as_reference(text)
+    assert calls == [(text, "graph")]
 
 
 _TOTAL_15 = graph_to_json(total_graph(gamma(15)), GraphFamily.TOTAL_OF_GAMMA)
