@@ -31,6 +31,9 @@ _LO_VECTORS, _BLOCK, _HI_CHUNK, _MAX_FREE = 1 << 12, 1 << 14, 1 << 8, 62
 # least _REFUTE_MIN, costs a refuter that gives up about 4% of the scan
 _REFUTE_FROM, _REFUTE_SHIFT, _REFUTE_MIN = 1 << 17, 16, 16
 
+# local_search climbs its first restart alone and the rest _WAVE at a time
+_WAVE = 32
+
 
 class SearchStatus(Enum):
     FOUND = "Found"
@@ -238,13 +241,24 @@ def local_search(
     """Hill climbing from random balanced starts.
 
     Each restart puts a random half of the vertices (one rng.permutation per
-    restart) on side B. Each step flips the vertex with the largest margin,
-    same-side minus other-side neighbours (ties to the smallest id), skipping
-    a vertex alone on its side; neighbour counts are updated by one adjacency
-    row per flip. A restart that would flip back the vertex it just flipped
-    stops, but partitions_examined still counts its whole step budget, as if
-    it had run every step. Never claims NoneExists; deterministic for a fixed
-    seed. A negative seed, or fewer than one restart or step, is a DomainError.
+    restart, drawn in restart order) on side B. Each step flips the vertex
+    with the largest margin, same-side minus other-side neighbours (ties to
+    the smallest id), skipping a vertex alone on its side. A restart stops
+    when every margin is negative, which is a very-cost-effective partition;
+    when it would flip back the vertex it just flipped, since the climb would
+    then alternate between two states until its steps ran out; or when it
+    has no vertex to flip, which happens only on two vertices.
+
+    The first restart climbs alone (_climb_one), and the rest climb in waves
+    of up to _WAVE restarts, each step of a wave advancing all of its climbs
+    at once (_climb). Outcomes are those of running the restarts one after
+    another, as earlier releases did: the earliest restart that finds a
+    partition wins, and partitions_examined adds up the steps of that
+    restart and of every restart before it. A restart that stops on a
+    repeat, or runs out of steps, counts its whole step budget; one with no
+    vertex to flip counts only the steps it took. Never claims NoneExists;
+    deterministic for a fixed seed. A negative seed, or fewer than one
+    restart or step, is a DomainError.
     """
     t0 = perf_counter()
     nv = g.n_vertices
@@ -254,39 +268,117 @@ def local_search(
         raise DomainError("local_search needs rng_seed >= 0, max_restarts >= 1 and "
                           f"max_steps >= 1; got {rng_seed}, {max_restarts}, {max_steps}")
     rng = np.random.default_rng(rng_seed)
-    a2 = np.multiply(g.adj, 2, dtype=np.int32)  # one int32 allocation
-    deg = g.degrees()
-    examined = 0
-    for _ in range(max_restarts):
-        in_b = np.zeros(nv, dtype=bool)
-        in_b[rng.permutation(nv)[: nv // 2]] = True
-        n_b = nv // 2
-        # m = 2|N(v) & B| - deg(v); the margin of v is m on side B, -m on R
-        m = a2 @ in_b - deg
-        last = -1
-        for step in range(max_steps):
-            margin = np.where(in_b, m, -m)
-            examined += 1
-            v = int(margin.argmax())
-            if margin[v] < 0:
-                return SearchOutcome(SearchStatus.FOUND, Bipartition(in_b), examined,
-                                     perf_counter() - t0)
-            if n_b == 1 or n_b == nv - 1:
+    a2 = np.multiply(g.adj, 2, dtype=np.float32)  # one float32 allocation
+    examined, in_b = _climb_one(a2, _starts(rng, 1, nv)[0], max_steps)
+    begun = 1
+    while in_b is None and begun < max_restarts:
+        wave = min(_WAVE, max_restarts - begun)
+        steps, in_b = _climb(a2, _starts(rng, wave, nv), max_steps)
+        examined += steps
+        begun += wave
+    if in_b is None:
+        return SearchOutcome(SearchStatus.INCONCLUSIVE, None, examined, perf_counter() - t0,
+                             reason="restart and step budget exhausted")
+    return SearchOutcome(SearchStatus.FOUND, Bipartition(in_b), examined, perf_counter() - t0)
+
+
+def _starts(rng: np.random.Generator, w: int, nv: int) -> np.ndarray:
+    """The next w random balanced starts, as rows of sides (+1 on B, -1 on
+    R): a row's side B is the first nv // 2 entries of one
+    rng.permutation(nv). rng.permuted shuffles the rows of a tiled arange
+    one after another, drawing what that many rng.permutation calls draw,
+    in a sixth of their time at 32 rows."""
+    order = rng.permuted(np.tile(np.arange(nv), (w, 1)), axis=1)
+    s = np.full((w, nv), -1, dtype=np.float32)
+    np.put_along_axis(s, order[:, : nv // 2], 1, axis=1)
+    return s
+
+
+def _climb_one(a2: np.ndarray, s: np.ndarray,
+               max_steps: int) -> tuple[int, np.ndarray | None]:
+    """_climb from the single start `s`, with scalar indices. A first restart
+    that finds takes about half the time that _climb takes over one row
+    (0.11 against 0.23 ms on line-of-gamma(36), 2-core Xeon), whose
+    per-step array calls cost more than the row's own work."""
+    nv = s.size
+    m = s @ a2
+    m *= 0.5
+    last = -1
+    for step in range(max_steps):
+        margin = m * s
+        v = int(margin.argmax())
+        if margin[v] < 0:
+            return step + 1, s > 0
+        side = s[v]
+        if step >= nv // 2 - 1 and side * s.sum() == 2 - nv:
+            if nv == 2:
+                return step + 1, None
+            margin[s == side] = -nv  # the lone vertex must stay
+            v, side = int(margin.argmax()), -side
+        if v == last:
+            return max_steps, None
+        s[v] = -side
+        m -= side * a2[v]
+        last = v
+    return max_steps, None
+
+
+def _climb(a2: np.ndarray, s: np.ndarray,
+           max_steps: int) -> tuple[int, np.ndarray | None]:
+    """local_search's climbs from the rows of sides `s` (+1 on B, -1 on R),
+    side by side: the steps counted, and side B of the earliest row that
+    found a very-cost-effective partition (None if none did).
+
+    Each row keeps m = 2|N(v) & B| - deg(v) = (s @ a2) / 2 per vertex, so
+    that its margins are m * s; a2 is the adjacency times 2 in float32,
+    whose integer sums are exact below 2^24. A side can hold a lone vertex
+    only after nv // 2 - 1 flips, and then s sums to 2 - nv times that
+    vertex's side. A row leaves the wave when it stops; once a row has
+    found, so does every later row, whose steps the one-after-another order
+    would never have taken.
+    """
+    w, nv = s.shape
+    m = s @ a2
+    m *= 0.5
+    start = np.arange(w)  # each live row's restart
+    base = start * nv  # each live row's offset in m and s
+    last = np.full(w, -1)
+    counts = np.full(w, max_steps)
+    win, win_b = w, None
+    for step in range(max_steps):
+        margin = m * s
+        v = margin.argmax(axis=1)
+        at = base + v
+        side = s.take(at)
+        stop = margin.take(at) < 0
+        if np.count_nonzero(stop):
+            r = int(stop.argmax())
+            win, win_b = int(start[r]), s[r] > 0
+            counts[win] = step + 1
+            stop = start >= win
+        if step >= nv // 2 - 1:
+            lone = (side * s.sum(axis=1) == 2 - nv) & ~stop
+            if np.count_nonzero(lone):
                 if nv == 2:
-                    break
-                margin[in_b == (n_b == 1)] = -nv  # the lone vertex must stay
-                v = int(margin.argmax())
-            if v == last:
-                # the climb is deterministic, so from here it would alternate
-                # between this state and the one before until its steps ran out
-                examined += max_steps - step - 1
+                    counts[start[lone]] = step + 1
+                    stop |= lone
+                else:
+                    for r in np.flatnonzero(lone).tolist():
+                        margin[r, s[r] == side[r]] = -nv  # the lone vertex must stay
+                        v[r] = margin[r].argmax()
+                    side[lone] = -side[lone]
+                    at = base + v
+        stop |= v == last
+        s.put(at, -side)
+        m -= a2.take(v, axis=0) * side[:, None]
+        last = v
+        if np.count_nonzero(stop):
+            keep = ~stop
+            if not keep.any():
                 break
-            in_b[v] = not in_b[v]
-            n_b += 1 if in_b[v] else -1
-            m += a2[v] if in_b[v] else -a2[v]
-            last = v
-    return SearchOutcome(SearchStatus.INCONCLUSIVE, None, examined, perf_counter() - t0,
-                         reason="restart and step budget exhausted")
+            m, s, start, last = m[keep], s[keep], start[keep], last[keep]
+            base = np.arange(start.size) * nv
+    return int(counts[: win + 1].sum()), win_b
 
 
 def _twins(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

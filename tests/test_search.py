@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,4 +534,60 @@ def test_local_search_matches_reference_with_a_lone_vertex(nv):
             adj[u, v] = adj[v, u] = bool((edges >> i) & 1)
         g = LabeledGraph([Residue(i + 1) for i in range(nv)], adj)
         for seed in range(6):
-            _assert_matches_reference(g, 3, 9, seed)
+            _assert_matches_reference(g, 40, 9, seed)
+
+
+# the first restart climbs alone, then restarts 1..32, 33..64 and 65.. climb in
+# waves; with 24 steps the seeds put the first restart that finds at 4, 31,
+# 52, 65, 67 and 68, and the other seeds find none within 70 restarts
+_WAVE_CASES = [
+    (64, GraphFamily.GAMMA, (0, 1)),
+    (64, GraphFamily.NILRADICAL, (0, 1)),
+    (20, GraphFamily.TOTAL_OF_GAMMA, (0, 7, 13, 21)),
+    (30, GraphFamily.LINE_OF_GAMMA, (0, 1, 4, 8)),
+]
+
+
+@pytest.mark.parametrize("restarts", [31, 32, 33, 64, 65, 70])
+@pytest.mark.parametrize("n, family, seeds", _WAVE_CASES)
+def test_local_search_matches_reference_across_waves(n, family, seeds, restarts):
+    g = build_family(n, family)
+    for seed in seeds:
+        _assert_matches_reference(g, restarts, 24, seed)
+
+
+def test_local_search_an_earlier_restart_wins_over_a_later_one():
+    # restarts 2, 3 and 4 all find in the first wave, restart 4 in 4 steps,
+    # before restart 2 finds in 11; restart 2 still wins, after restarts 0
+    # and 1 used their 64 steps each
+    g = random_graph(15, seed=38, p=0.3)
+    a2 = np.multiply(g.adj, 2, dtype=np.float32)
+    rng = np.random.default_rng(3)
+    first, wave = search._starts(rng, 1, 15), search._starts(rng, 32, 15)
+    assert search._climb_one(a2, first[0], 64) == (64, None)
+    alone = [search._climb(a2, wave[[r - 1]], 64) for r in (1, 2, 4)]
+    assert [steps for steps, _ in alone] == [64, 11, 4]
+    assert np.flatnonzero(alone[1][1]).tolist() == [1, 2, 3, 5, 10, 12, 13]
+    assert np.flatnonzero(alone[2][1]).tolist() == [0, 4, 6, 7, 8, 9, 11, 14]
+    out = local_search(g, max_restarts=33, max_steps=64, rng_seed=3)
+    assert out.status is SearchStatus.FOUND
+    assert out.partitions_examined == 64 + 64 + 11
+    assert out.partition.b_ids.tolist() == [1, 2, 3, 5, 10, 12, 13]
+    _assert_matches_reference(g, 33, 64, 3)
+
+
+def test_local_search_memory_does_not_grow_with_restarts():
+    g = build_family(195, GraphFamily.GAMMA)  # 98 vertices
+    nv = g.n_vertices
+    local_search(g, max_restarts=33, max_steps=2)  # first-call allocations
+    tracemalloc.start()
+    try:
+        out = local_search(g, max_restarts=2000, max_steps=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.partitions_examined == 2000 * 2
+    # the float32 doubled adjacency, plus a wave's handful of 32-row arrays
+    # of at most 8 bytes an entry; float32 sides for all 2000 restarts at
+    # once would take 2000 * 4 * nv bytes, over three times the bound
+    assert peak < 4 * nv * nv + 8 * (32 * nv * 8)
