@@ -87,6 +87,9 @@ class NotVce:
     def __post_init__(self):
         w = self.witness
         if isinstance(w, IsolatedVertex):
+            # a negative id would wrap around to a vertex from the end
+            if not 0 <= w.vertex < self.graph.n_vertices:
+                raise ConstructionError(f"witness vertex id {w.vertex} is out of range")
             if self.graph.degree(w.vertex) != 0:
                 raise ConstructionError(
                     f"claimed isolated vertex {w.label.render()} has neighbors")

@@ -49,7 +49,7 @@ class LabeledGraph:
     (k, k) and `EdgePair(a, b)` the row (a, b), a < b, so the two kinds never
     share a key. The label objects are built from the keys on first use.
     `modulus` records the n the graph derives from and survives the
-    line/total transforms.
+    line/total transforms. Degrees are summed from the adjacency on first use.
     """
 
     __slots__ = ("_keys", "adj", "modulus", "_deg", "_labels", "_id_of", "_names")
@@ -90,10 +90,7 @@ class LabeledGraph:
         self._keys = keys
         self.adj = a
         self.modulus = modulus
-        # int32 row sums run about twice as fast as int64 ones; |V| fits
-        deg = a.sum(axis=1, dtype=np.int32).astype(np.int64)
-        deg.setflags(write=False)
-        self._deg = deg
+        self._deg: np.ndarray | None = None
         self._labels: tuple[VertexLabel, ...] | None = None
         self._id_of: dict[VertexLabel, int] | None = None
         self._names: tuple[str, ...] | None = None
@@ -119,10 +116,16 @@ class LabeledGraph:
         return len(self._keys)
 
     def degrees(self) -> np.ndarray:
+        """The read-only int64 degrees by vertex id; summed on first use only."""
+        if self._deg is None:
+            # int32 row sums run about twice as fast as int64 ones; |V| fits
+            deg = self.adj.sum(axis=1, dtype=np.int32).astype(np.int64)
+            deg.setflags(write=False)
+            self._deg = deg
         return self._deg
 
     def degree(self, v: int) -> int:
-        return int(self._deg[v])
+        return int(self.degrees()[v])
 
     def neighbors(self, v: int) -> np.ndarray:
         return np.flatnonzero(self.adj[v])
@@ -136,7 +139,7 @@ class LabeledGraph:
         return list(zip(iu.tolist(), iv.tolist()))
 
     def n_edges(self) -> int:
-        return int(self._deg.sum()) // 2
+        return int(self.degrees().sum()) // 2
 
     def id_of(self, label: VertexLabel) -> int:
         if self._id_of is None:

@@ -114,13 +114,20 @@ def _validate(g: LabeledGraph, part: Bipartition) -> None:
 
 
 def _inside_counts(g: LabeledGraph, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
-    # the one counting kernel behind is_vce and check_bipartition: neighbours
-    # on side B by a masked row sum, int32 because it runs about twice as fast
-    # as int64 and |V| fits
-    deg = g.degrees()
-    nb_b = (g.adj & part.in_b).sum(axis=1, dtype=np.int32)
-    inside = np.where(part.in_b, nb_b, deg - nb_b)
-    return inside, deg - inside
+    # the one counting kernel behind is_vce and check_bipartition: each side
+    # counted from the adjacency alone, by popcount over bit-packed rows, in
+    # one reused |V|^2/8 byte buffer. The padding bits of ~b meet the zero
+    # padding of every row, so they count nothing. int32 sums run about
+    # twice as fast as int64 ones, and |V| fits
+    rows = np.packbits(g.adj, axis=1)
+    b = np.packbits(part.in_b)
+    t = rows & b
+    nb_b = np.bitwise_count(t, out=t).sum(axis=1, dtype=np.int32)
+    np.bitwise_and(rows, ~b, out=t)
+    nb_r = np.bitwise_count(t, out=t).sum(axis=1, dtype=np.int32)
+    inside = np.where(part.in_b, nb_b, nb_r).astype(np.int64)
+    outside = np.where(part.in_b, nb_r, nb_b).astype(np.int64)
+    return inside, outside
 
 
 def check_bipartition(g: LabeledGraph, part: Bipartition) -> VceReport:

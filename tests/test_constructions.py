@@ -392,6 +392,19 @@ class TestCertificateValidation:
         with pytest.raises(ConstructionError):
             NotVce(g, IsolatedVertex(0, Residue(10)))
 
+    def test_notvce_rejects_negative_id(self):
+        # the last vertex, 10, is isolated: id -1 must not wrap around to it
+        g = non_nilradical_graph(12)
+        assert g.degree(g.n_vertices - 1) == 0
+        with pytest.raises(ConstructionError, match="out of range"):
+            NotVce(g, IsolatedVertex(-1, g.label(-1)))
+
+    def test_notvce_rejects_id_past_the_last_vertex(self):
+        g = non_nilradical_graph(12)
+        for v in (g.n_vertices, g.n_vertices + 5):
+            with pytest.raises(ConstructionError, match="out of range"):
+                NotVce(g, IsolatedVertex(v, Residue(10)))
+
     def test_notvce_accepts_true_witness(self):
         g = non_nilradical_graph(12)
         cert = NotVce(g, IsolatedVertex(0, Residue(2)))

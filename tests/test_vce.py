@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (all_bipartitions, complete_graph, random_graph, ref_partition_verdict,
@@ -8,15 +10,20 @@ from helpers import (all_bipartitions, complete_graph, random_graph, ref_partiti
 from znvce import (
     Bipartition,
     GraphFamily,
+    LabeledGraph,
     PartitionError,
     Residue,
     Verdict,
     build_family,
     check_bipartition,
+    dispatch,
     gamma,
+    graph_to_json,
     is_vce,
     non_nilradical_graph,
+    partition_to_json,
 )
+from znvce.cli import cmd_check
 
 
 def mult_split(g, d):
@@ -187,6 +194,89 @@ def test_report_arrays_are_read_only():
     for arr in (rep.inside, rep.outside):
         with pytest.raises(ValueError):
             arr[0] = 7
+
+
+def _random_side(nv: int, seed: int) -> Bipartition:
+    rng = np.random.default_rng(seed)
+    in_b = rng.random(nv) < 0.5
+    if in_b.all() or not in_b.any():
+        in_b[0] = not in_b[0]
+    return Bipartition(in_b)
+
+
+def _assert_matches_the_reference(g, part):
+    rep = check_bipartition(g, part)
+    for arr in (rep.inside, rep.outside):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+    ref = ref_tallies(g, part)
+    assert _report_tuples(rep) == ref
+    assert rep.witnesses == tuple(v for v, _, _, verdict in ref if verdict != "VeryCostEffective")
+    assert is_vce(g, part) == (ref_partition_verdict(ref) == "VeryCostEffective")
+
+
+# the kernel packs eight vertices to a byte, so the examples put every |V|
+# mod 8 through it, sparse and dense, past a whole 64-bit word of them
+@given(st.integers(2, 70), st.sampled_from((0.05, 0.5, 0.95)),
+       st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=150, deadline=None)
+@example(63, 0.05, 1, 2)
+@example(63, 0.95, 3, 4)
+@example(64, 0.05, 5, 6)
+@example(64, 0.95, 7, 8)
+@example(65, 0.05, 9, 10)
+@example(65, 0.95, 11, 12)
+@example(66, 0.05, 13, 14)
+@example(66, 0.95, 15, 16)
+@example(67, 0.05, 17, 18)
+@example(67, 0.95, 19, 20)
+@example(68, 0.05, 21, 22)
+@example(68, 0.95, 23, 24)
+@example(69, 0.05, 25, 26)
+@example(69, 0.95, 27, 28)
+@example(70, 0.05, 29, 30)
+@example(70, 0.95, 31, 32)
+def test_counts_across_byte_boundaries(nv, p, gseed, mseed):
+    _assert_matches_the_reference(random_graph(nv, seed=gseed, p=p), _random_side(nv, mseed))
+
+
+def test_family_graphs_match_the_reference():
+    # every family graph of n <= 60 with two vertices or more, under random
+    # partitions
+    for fam in GraphFamily:
+        for n in range(2, 61):
+            g = build_family(n, fam)
+            if g.n_vertices < 2:
+                continue
+            for seed in range(2):
+                _assert_matches_the_reference(g, _random_side(g.n_vertices, n * 2 + seed))
+
+
+def test_certify_path_never_sums_degrees(monkeypatch, tmp_path):
+    # dispatch on a routed shape and cmd_check count both sides from the
+    # adjacency alone
+    def refuse(self):
+        raise AssertionError("degrees summed")
+
+    monkeypatch.setattr(LabeledGraph, "degrees", refuse)
+    dispatch(4641, "gamma")
+    cert = dispatch(1357, "line-of-gamma")
+    gp, pp = tmp_path / "g.json", tmp_path / "p.json"
+    gp.write_text(graph_to_json(cert.graph, GraphFamily.LINE_OF_GAMMA))
+    pp.write_text(partition_to_json(cert.graph, cert.partition))
+    text, code = cmd_check(str(gp), str(pp))
+    assert code == 0 and text.endswith("partition verdict: VeryCostEffective\n")
+
+
+def test_kernel_allocates_no_square_bool_temporary():
+    cert = dispatch(4641, "gamma")
+    g, part = cert.graph, cert.partition
+    tracemalloc.start()
+    try:
+        assert is_vce(g, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n_vertices ** 2 / 2
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000), st.integers(0, 10_000))
