@@ -39,6 +39,7 @@ from .graphs import (
     Residue,
     VertexLabel,
     build_family,
+    family_graphs,
     gamma,
     line_graph,
     nilradical_graph,
@@ -52,6 +53,7 @@ from .rings import (
     classify,
     factorize,
     is_prime,
+    modulus_shape,
     nilpotents,
     zero_divisors,
 )

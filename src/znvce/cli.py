@@ -8,8 +8,8 @@ import sys
 
 from .constructions import Certificate, Exists, ExhaustedSearch, IsolatedVertex, NotVce, dispatch
 from .errors import DomainError, FormatError, PartitionError
-from .graphs import GraphFamily, LabeledGraph, build_family
-from .rings import classify, factorize
+from .graphs import GraphFamily, LabeledGraph, build_family, family_graphs
+from .rings import modulus_shape
 from .search import (DEFAULT_VERTEX_CAP, SearchStatus, brute_force, class_budget, class_search,
                       local_search)
 from .serialize import (
@@ -129,12 +129,10 @@ def cmd_search(
     return "\n".join(lines) + "\n", code
 
 
-def _survey_row(n: int, family: GraphFamily, cap: int) -> list:
-    """The survey CSV row of (n, family): n, family, shape, vertices,
-    verdict and source."""
-    shape = classify(factorize(n)).kind.value
-    g = build_family(n, family)
-    row = [n, family.value, shape, g.n_vertices]
+def _survey_row(n: int, family: GraphFamily, cap: int, g: LabeledGraph) -> list:
+    """The survey CSV row of (n, family), whose graph is g: n, family, shape,
+    vertices, verdict and source."""
+    row = [n, family.value, modulus_shape(n).kind.value, g.n_vertices]
     if g.n_vertices == 0:
         return row + ["Empty-graph", ""]
     cert = dispatch(n, family, vertex_cap=cap, graph=g)
@@ -151,13 +149,15 @@ def cmd_survey(n_min: int, n_max: int, families: list[GraphFamily] | None = None
                cap: int = DEFAULT_VERTEX_CAP) -> str:
     if not 2 <= n_min <= n_max:
         raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    fams = sorted(set(families or list(GraphFamily)), key=lambda f: f.value)
+    fams = sorted({GraphFamily(f) for f in families or GraphFamily}, key=lambda f: f.value)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["n", "family", "shape", "vertices", "verdict", "source"])
     for n in range(n_min, n_max + 1):
+        # each modulus's graphs come from one build; a row lets go of its own
+        graphs = family_graphs(n, fams)
         for fam in fams:
-            writer.writerow(_survey_row(n, fam, cap))
+            writer.writerow(_survey_row(n, fam, cap, graphs.pop(fam)))
     return out.getvalue()
 
 

@@ -23,7 +23,7 @@ from .graphs import (
     VertexLabel,
     build_family,
 )
-from .rings import ModulusShape, ShapeKind, classify, factorize, is_prime
+from .rings import ModulusShape, ShapeKind, is_prime, modulus_shape
 from .search import (
     DEFAULT_VERTEX_CAP,
     SearchStatus,
@@ -231,7 +231,7 @@ def _construct(n: int, family: GraphFamily, kind: ShapeKind | None = None) -> Bi
     """The verified partition of the row that covers the `family` graph of n,
     when that row has kind `kind` (any kind when None). The shape is checked,
     and a ShapeError raised, before any graph is built."""
-    shape = classify(factorize(n))
+    shape = modulus_shape(n)
     row = _row(shape, family)
     if row is None or kind not in (None, row.kind):
         scope = (f"this {family.value} construction, which needs {kind.value}" if kind
@@ -307,7 +307,7 @@ def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, 
     g = build_family(n, family) if graph is None else graph
     if g.n_vertices == 0:
         raise DomainError(f"the {family.value} graph of {n} is empty; no bipartition possible")
-    shape = classify(factorize(n))
+    shape = modulus_shape(n)
     route = _route(shape, family)
     if route is not None:
         split, cid = route

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -124,3 +125,15 @@ def classify(f: Factorization) -> ModulusShape:
         p, q = (ps[0], ps[1]) if len(ps) == 2 else (None, None)
         return ModulusShape(ShapeKind.SQUAREFREE_COMPOSITE, ps, p=p, q=q)
     return ModulusShape(ShapeKind.OTHER, ps)
+
+
+# moduli whose shapes `modulus_shape` keeps: every n of a survey to 1000
+_SHAPES_KEPT = 1024
+
+
+@lru_cache(maxsize=_SHAPES_KEPT)
+def modulus_shape(n: int) -> ModulusShape:
+    """`classify(factorize(n))`, computed once while n stays among the last
+    `_SHAPES_KEPT` moduli asked for. Shapes are frozen, so callers may share
+    one. n < 2 raises DomainError, and nothing is kept for it."""
+    return classify(factorize(n))

@@ -9,13 +9,17 @@ import pytest
 from helpers import ref_check_text
 from znvce import (
     Bipartition,
+    Exists,
     GraphFamily,
+    IsolatedVertex,
     LabeledGraph,
     Residue,
     build_family,
+    classify,
     cli,
     constructions,
     dispatch,
+    factorize,
     gamma,
     graph_to_json,
     partition_to_json,
@@ -391,6 +395,18 @@ class TestSearch:
         assert out == "" and err == text
 
 
+def _verdict_cells(cert):
+    """The verdict and source cells of a survey row whose certificate is `cert`."""
+    if cert is None:
+        return "Unknown,"
+    if isinstance(cert, Exists):
+        how = "construction" if cert.source is not None else "search"
+        return f"VCE-by-{how},{cert.source_tag}"
+    if isinstance(cert.witness, IsolatedVertex):
+        return "Not-VCE,isolated-vertex"
+    return "Not-VCE,exhausted-search"
+
+
 class TestSurvey:
     def test_gamma_6_to_30(self):
         text = cmd_survey(6, 30, [GraphFamily.GAMMA])
@@ -427,19 +443,70 @@ class TestSurvey:
         text = cmd_survey(100, 100, [GraphFamily.GAMMA])
         assert text.splitlines()[1] == "100,gamma,PSquaredQSquared,59,VCE-by-search,Search"
 
-    def test_each_row_builds_its_graph_once(self, monkeypatch):
-        built = []
+    def test_each_modulus_builds_its_graphs_once(self, monkeypatch):
+        # perfbench recounts the certificates by wrapping cli.dispatch, and
+        # labels the _survey_row spans from its first two positional arguments
+        moduli, rows, certified = [], [], []
+        real_graphs, real_row, real_dispatch = cli.family_graphs, cli._survey_row, cli.dispatch
 
-        def counting_build(n, family):
-            built.append((n, GraphFamily(family).value))
-            return build_family(n, family)
+        def graphs(n, families):
+            moduli.append(n)
+            return real_graphs(n, families)
 
-        monkeypatch.setattr(cli, "build_family", counting_build)
-        monkeypatch.setattr(constructions, "build_family", counting_build)
-        # 2..30 holds empty, constructed, searched, isolated-vertex and Unknown rows
-        rows = cmd_survey(2, 30).splitlines()[1:]
-        assert "Unknown" in {row.split(",")[4] for row in rows}
-        assert sorted(built) == sorted((int(r.split(",")[0]), r.split(",")[1]) for r in rows)
+        def row(*args, **kwargs):
+            rows.append((args[:2], kwargs))
+            return real_row(*args, **kwargs)
+
+        def certify(*args, **kwargs):
+            certified.append((args[:2], kwargs))
+            return real_dispatch(*args, **kwargs)
+
+        def forbidden(n, family):
+            raise AssertionError(f"build_family({n}, {family}) ran in a survey")
+
+        monkeypatch.setattr(cli, "family_graphs", graphs)
+        monkeypatch.setattr(cli, "_survey_row", row)
+        monkeypatch.setattr(cli, "dispatch", certify)
+        monkeypatch.setattr(cli, "build_family", forbidden)
+        monkeypatch.setattr(constructions, "build_family", forbidden)
+        # 2..60 holds empty, constructed, searched, isolated-vertex and Unknown rows
+        lines = [r.split(",") for r in cmd_survey(2, 60).splitlines()[1:]]
+        assert "Unknown" in {r[4] for r in lines}
+        assert moduli == list(range(2, 61))
+        assert [args for args, _ in rows] == [(int(r[0]), GraphFamily(r[1])) for r in lines]
+        assert all(kwargs == {} for _, kwargs in rows)
+        nonempty = [(int(r[0]), GraphFamily(r[1])) for r in lines if r[4] != "Empty-graph"]
+        assert [args for args, _ in certified] == nonempty
+        for (n, family), (_, kwargs) in zip(nonempty, certified):
+            g = kwargs["graph"]
+            assert g == build_family(n, family) and g.modulus == n, (n, family)
+
+    @pytest.mark.parametrize("families", [
+        None,
+        [GraphFamily.NILRADICAL, GraphFamily.OMEGA],
+        [GraphFamily.LINE_OF_GAMMA, GraphFamily.TOTAL_OF_GAMMA],
+    ])
+    def test_matches_a_survey_built_row_by_row(self, families):
+        # one build_family and one dispatch per row, as each row was made
+        # before the graphs of a modulus were built together
+        fams = sorted(families or GraphFamily, key=lambda f: f.value)
+        expected = ["n,family,shape,vertices,verdict,source"]
+        for n in range(121, 201):
+            shape = classify(factorize(n)).kind.value
+            for fam in fams:
+                g = build_family(n, fam)
+                tail = _verdict_cells(dispatch(n, fam, graph=g)) if g.n_vertices else "Empty-graph,"
+                expected.append(f"{n},{fam.value},{shape},{g.n_vertices},{tail}")
+        assert cmd_survey(121, 200, families) == "\n".join(expected) + "\n"
+
+    def test_family_names_are_accepted(self):
+        names = [f.value for f in GraphFamily]
+        assert cmd_survey(10, 11, ["gamma"]) == cmd_survey(10, 11, [GraphFamily.GAMMA])
+        assert cmd_survey(2, 30, names[::-1]) == cmd_survey(2, 30, list(GraphFamily))
+        assert cmd_survey(2, 30, ["omega", GraphFamily.OMEGA]) == cmd_survey(
+            2, 30, [GraphFamily.OMEGA])
+        with pytest.raises(ValueError, match="no-such-family"):
+            cmd_survey(10, 11, ["gamma", "no-such-family"])
 
     def test_determinism(self):
         assert cmd_survey(6, 40, [GraphFamily.GAMMA]) == cmd_survey(6, 40, [GraphFamily.GAMMA])
@@ -530,9 +597,10 @@ class TestMain:
         MemoryError(),
     ])
     def test_out_of_memory_is_one_error_line(self, monkeypatch, capsys, argv, exc):
-        def no_memory(n, family):
+        def no_memory(*args):
             raise exc
         monkeypatch.setattr(cli, "build_family", no_memory)
+        monkeypatch.setattr(cli, "family_graphs", no_memory)
         monkeypatch.setattr(constructions, "build_family", no_memory)
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -12,6 +12,7 @@ from znvce import (
     LabeledGraph,
     Residue,
     build_family,
+    family_graphs,
     gamma,
     graph_from_json,
     graph_to_json,
@@ -392,13 +393,82 @@ def test_modulus_survives_transforms():
     assert total_graph(gamma(10)).modulus == 10
 
 
+_DIRECT = {
+    GraphFamily.GAMMA: gamma,
+    GraphFamily.NILRADICAL: nilradical_graph,
+    GraphFamily.OMEGA: non_nilradical_graph,
+    GraphFamily.LINE_OF_GAMMA: lambda n: line_graph(gamma(n)),
+    GraphFamily.TOTAL_OF_GAMMA: lambda n: total_graph(gamma(n)),
+}
+
+
+def _same_graph(a, b):
+    return (a.keys().dtype == b.keys().dtype and np.array_equal(a.keys(), b.keys())
+            and np.array_equal(a.adj, b.adj) and a.modulus == b.modulus)
+
+
 def test_build_family_matches_direct_builders():
-    n = 20
-    assert build_family(n, GraphFamily.GAMMA) == gamma(n)
-    assert build_family(n, GraphFamily.NILRADICAL) == nilradical_graph(n)
-    assert build_family(n, GraphFamily.OMEGA) == non_nilradical_graph(n)
-    assert build_family(n, GraphFamily.LINE_OF_GAMMA) == line_graph(gamma(n))
-    assert build_family(n, GraphFamily.TOTAL_OF_GAMMA) == total_graph(gamma(n))
+    # build_family is family_graphs asked for one family, by enum or by name
+    for n in range(2, 61):
+        for family in GraphFamily:
+            assert _same_graph(build_family(n, family), _DIRECT[family](n)), (n, family)
+            assert _same_graph(build_family(n, family.value), _DIRECT[family](n)), (n, family)
+
+
+def test_family_graphs_match_the_direct_builders():
+    # the cut nilradical and omega graphs, and the line graph copied out of
+    # the total graph, against each family built on its own
+    for n in range(2, 301):
+        built = family_graphs(n, GraphFamily)
+        assert set(built) == set(GraphFamily)
+        for family, g in built.items():
+            assert _same_graph(g, _DIRECT[family](n)), (n, family)
+            a = g.adj
+            # _from_keys takes an adjacency that nothing else holds, so the
+            # line graph's is no view into the total graph's
+            assert a.dtype == bool and not a.flags.writeable, (n, family)
+            assert a.flags.c_contiguous and a.flags.owndata, (n, family)
+
+
+@pytest.mark.parametrize("subset, absent", [
+    ({"nilradical"}, "gamma"),
+    ({"omega"}, "gamma"),
+    ({"nilradical", "omega"}, "gamma"),
+    ({"line-of-gamma"}, "total_graph"),
+    ({"total-of-gamma"}, "line_graph"),
+    ({"line-of-gamma", "total-of-gamma"}, "line_graph"),
+])
+def test_family_subsets_build_only_what_they_need(monkeypatch, subset, absent):
+    full = {n: family_graphs(n, GraphFamily) for n in range(2, 121)}
+
+    def forbidden(*args):
+        raise AssertionError(f"{absent} ran for {sorted(subset)}")
+
+    monkeypatch.setattr(graphs, absent, forbidden)
+    for n in range(2, 121):
+        built = family_graphs(n, subset)
+        assert set(built) == {GraphFamily(f) for f in subset}
+        for family, g in built.items():
+            assert _same_graph(g, full[n][family]), (n, family)
+
+
+def test_family_graphs_memory_stays_under_two_total_adjacencies():
+    # the total graph's matrix and the line graph's copy of its edge block
+    # are both held, (|V| + |E|)^2 + |E|^2 bools; about 1.8 (|V| + |E|)^2 at n = 600
+    tracemalloc.start()
+    try:
+        built = family_graphs(600, GraphFamily)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * built[GraphFamily.TOTAL_OF_GAMMA].n_vertices ** 2
+
+
+def test_unknown_family_name_is_rejected():
+    with pytest.raises(ValueError):
+        family_graphs(12, ["gamma", "no-such-family"])
+    with pytest.raises(ValueError):
+        build_family(12, "no-such-family")
 
 
 def test_graph_equality_and_neighbors():

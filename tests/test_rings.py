@@ -10,9 +10,11 @@ from znvce import (
     classify,
     factorize,
     is_prime,
+    modulus_shape,
     nilpotents,
     zero_divisors,
 )
+from znvce import rings
 
 
 def test_factorize_examples():
@@ -140,3 +142,25 @@ def test_is_prime_small_values():
     primes_below_50 = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     for n in range(-3, 50):
         assert is_prime(n) == (n in primes_below_50)
+
+
+def test_modulus_shape_is_classify_of_factorize():
+    for n in range(2, 5001):
+        assert modulus_shape(n) == classify(factorize(n)), n
+        assert modulus_shape(n) is modulus_shape(n)
+
+
+def test_modulus_shape_keeps_a_fixed_number_of_shapes():
+    info = modulus_shape.cache_info()
+    assert info.maxsize == rings._SHAPES_KEPT
+    assert isinstance(info.maxsize, int) and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("n", [1, 0, -7])
+def test_modulus_shape_raises_below_two_on_every_call(n):
+    modulus_shape.cache_clear()
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            modulus_shape(n)
+    info = modulus_shape.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 3)
