@@ -60,12 +60,24 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n).factors == ((n, 1),)
 
 
+def gcd_sieve(n: int) -> np.ndarray:
+    """gcd(k, n) for every k in [0, n), as int64, so gcd(0, n) = n.
+
+    Every entry starts at 1, and for each prime power p^j dividing n every
+    p^j-th entry, from 0, is multiplied by p: one strided multiply per prime
+    power in place of a gcd per residue."""
+    g = np.ones(n, dtype=np.int64)
+    for p, e in factorize(n).factors:
+        for j in range(1, e + 1):
+            g[::p ** j] *= p
+    return g
+
+
 def zero_divisors(n: int) -> np.ndarray:
     """All k in [1, n-1] with gcd(k, n) > 1, ascending."""
     if n < 2:
         raise DomainError(f"zero_divisors requires n >= 2, got {n}")
-    ks = np.arange(1, n, dtype=np.int64)
-    return ks[np.gcd(ks, n) > 1]
+    return np.flatnonzero(gcd_sieve(n)[1:] > 1).astype(np.int64) + 1
 
 
 def nilpotents(n: int) -> np.ndarray:

@@ -381,19 +381,19 @@ def _climb(a2: np.ndarray, s: np.ndarray,
     return int(counts[: win + 1].sum()), win_b
 
 
-def _twins(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _twins(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """twin_classes, plus each class's smallest vertex, from one stable sort.
 
-    Slot v < |V| holds the open row of v packed to bytes (vertex u is bit
+    Slot v < |V| holds the open row of v, g's packed row (vertex u is bit
     128 >> u % 8 of byte u // 8), slot |V| + v its closed row (the open row
     with v's own bit set); each row is one byte-string key. In sorted order a
     run of equal keys starts wherever two neighbours differ, and since ties
     keep slot order, the first slot of a run is its smallest. No open row
     equals a closed one, because N(u) = N[v] would put u in N(u).
     """
-    nv = adj.shape[0]
+    nv = g.n_vertices
     v = np.arange(nv)
-    packed = np.packbits(adj, axis=1)
+    packed = g.rows()
     rows = np.concatenate((packed, packed))
     rows[nv + v, v // 8] |= (128 >> v % 8).astype(np.uint8)
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
@@ -422,7 +422,7 @@ def twin_classes(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     of its own (not a clique). Classes are numbered by their smallest vertex,
     and one stable sort of the packed open and closed rows finds them exactly.
     """
-    return _twins(g.adj)[:2]
+    return _twins(g)[:2]
 
 
 def class_budget(vertex_cap: int) -> int:
@@ -451,7 +451,7 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     out = _unsearched(g, t0)
     if out is not None:
         return out
-    cls, clique, reps = _twins(g.adj)
+    cls, clique, reps = _twins(g)
     size = np.bincount(cls)
     radix = np.where(clique, size + 1, 2)
     space = prod(radix.tolist())
@@ -463,8 +463,9 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
         raise DomainError(f"class search needs an int64 index per vector; {space} "
                           f"vectors exceeds the limit of 2^{_MAX_FREE}")
     # classes are complete or empty to each other, so one member's row speaks
-    # for its class
-    index = _first_vce(g.adj[np.ix_(reps, reps)] | np.diag(clique), size, clique, radix)
+    # for its class; only the members' rows are unpacked
+    rep_rows = np.unpackbits(g.rows()[reps], axis=1, count=g.n_vertices).view(bool)
+    index = _first_vce(rep_rows[:, reps] | np.diag(clique), size, clique, radix)
     if index is None:
         return SearchOutcome(SearchStatus.NONE_EXISTS, None, space, perf_counter() - t0,
                              reason="class space exhausted")

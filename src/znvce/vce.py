@@ -115,11 +115,11 @@ def _validate(g: LabeledGraph, part: Bipartition) -> None:
 
 def _inside_counts(g: LabeledGraph, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
     # the one counting kernel behind is_vce and check_bipartition: each side
-    # counted from the adjacency alone, by popcount over bit-packed rows, in
-    # one reused |V|^2/8 byte buffer. The padding bits of ~b meet the zero
-    # padding of every row, so they count nothing. int32 sums run about
-    # twice as fast as int64 ones, and |V| fits
-    rows = np.packbits(g.adj, axis=1)
+    # counted from the graph's rows alone, by popcount, in one reused
+    # |V|^2/8 byte buffer. The padding bits of ~b meet the zero padding of
+    # every row, so they count nothing. int32 sums run about twice as fast as
+    # int64 ones, and |V| fits
+    rows = g.rows()
     b = np.packbits(part.in_b)
     t = rows & b
     nb_b = np.bitwise_count(t, out=t).sum(axis=1, dtype=np.int32)

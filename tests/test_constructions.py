@@ -457,6 +457,21 @@ def test_dispatch_takes_a_prebuilt_graph(monkeypatch):
     assert cert.graph is g and cert.source is ConstructionId.THM2_1_SQUAREFREE
 
 
+@pytest.mark.parametrize("n, family, kind", [
+    (4641, GraphFamily.GAMMA, Exists),      # Thm 2.1, 2336 vertices
+    (2431, GraphFamily.OMEGA, Exists),      # Thm 3.5
+    (343, GraphFamily.NILRADICAL, Exists),  # Thm 3.3 (iii), 7^3
+    (18, GraphFamily.OMEGA, NotVce),        # isolated vertices 3 and 15
+    (120, GraphFamily.GAMMA, Exists),       # past the cap: the twin-class search
+])
+def test_dispatch_never_unpacks_a_residue_graph(n, family, kind):
+    # the counts, degrees and twin classes all come from the graph's rows,
+    # so a residue graph's dense adjacency is never built on the way
+    cert = dispatch(n, family)
+    assert isinstance(cert, kind)
+    assert cert.graph._adj is None
+
+
 def test_constructed_small_graphs_agree_with_brute_force():
     """Construction and exhaustive search must agree wherever both apply."""
     small = [(12, vce_p2q), (18, vce_p2q), (15, vce_squarefree), (25, vce_nilradical),

@@ -89,11 +89,62 @@ def test_nilpotent_split_is_an_induced_partition():
 
 
 def test_residue_adjacency_matches_the_product_definition():
-    # the class-table build against n | u*v computed product by product
+    # the class-table build against n | u*v computed product by product, in
+    # both forms: the rows the builder writes are exactly np.packbits of the
+    # reference, so every padding bit is zero, for every |V| % 8, and every
+    # diagonal bit clear, also where u^2 = 0 (n = 4, 8, 9, 16, ...)
+    tails = set()
     for n in range(2, 601):
         for build in (gamma, nilradical_graph, non_nilradical_graph):
             g = build(n)
-            assert (g.adj == ref_residue_adj(n, residues(g))).all(), (n, build.__name__)
+            ref = ref_residue_adj(n, residues(g))
+            rows = g.rows()
+            assert rows.dtype == np.uint8 and rows.flags.c_contiguous, (n, build.__name__)
+            assert np.array_equal(rows, np.packbits(ref, axis=1)), (n, build.__name__)
+            assert (g.adj == ref).all(), (n, build.__name__)
+            tails.add(g.n_vertices % 8)
+    assert tails == set(range(8))
+
+
+def test_row_built_adjacency_is_frozen_kept_and_its_own():
+    g = gamma(36)
+    assert g._adj is None  # built as rows, nothing unpacked yet
+    a = g.adj
+    assert a is g.adj and a.dtype == bool and not a.flags.writeable
+    assert a.flags.c_contiguous and not np.may_share_memory(a, g.rows())
+    with pytest.raises(ValueError):
+        g.rows()[0, 0] = 0
+    # a dense-built graph packs its rows once, and keeps them
+    d = LabeledGraph(g.labels, g.adj)
+    r = d.rows()
+    assert r is d.rows() and not r.flags.writeable
+    assert np.array_equal(r, g.rows()) and not np.may_share_memory(r, d.adj)
+
+
+@pytest.mark.parametrize("n", [2, 4, 12, 16, 36, 105, 210, 243, 600, 1001])
+def test_row_and_dense_builds_are_equal(n):
+    for build in (gamma, nilradical_graph, non_nilradical_graph):
+        g = build(n)
+        d = LabeledGraph(g.labels, ref_residue_adj(n, residues(g)), modulus=n)
+        assert g == d and d == g, (n, build.__name__)
+        if g.n_edges():
+            a = ref_residue_adj(n, residues(g))
+            u, v = np.argwhere(a)[0]
+            a[u, v] = a[v, u] = False
+            assert g != LabeledGraph(g.labels, a, modulus=n), (n, build.__name__)
+
+
+def test_degrees_are_row_sums_on_every_family():
+    # a residue graph counts its degrees from the rows without unpacking adj
+    for n in range(2, 201):
+        for family, g in family_graphs(n, GraphFamily).items():
+            fresh = build_family(n, family)
+            deg = fresh.degrees()
+            assert deg.dtype == np.int64 and not deg.flags.writeable
+            if family in (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA):
+                assert fresh._adj is None, (n, family)
+            assert deg.tolist() == g.adj.sum(axis=1).tolist(), (n, family)
+            assert fresh.n_edges() == int(g.adj.sum()) // 2, (n, family)
 
 
 def test_line_graph_of_gamma_16():
@@ -424,10 +475,15 @@ def test_family_graphs_match_the_direct_builders():
         for family, g in built.items():
             assert _same_graph(g, _DIRECT[family](n)), (n, family)
             a = g.adj
-            # _from_keys takes an adjacency that nothing else holds, so the
-            # line graph's is no view into the total graph's
             assert a.dtype == bool and not a.flags.writeable, (n, family)
-            assert a.flags.c_contiguous and a.flags.owndata, (n, family)
+            assert a.flags.c_contiguous, (n, family)
+        # _from_keys takes arrays that nothing else holds, and an unpacked
+        # adjacency gets a buffer of its own, so no graph's adjacency or rows
+        # overlap another's (the line graph's are no view into the total
+        # graph's), nor a graph's adjacency its own rows
+        arrays = [x for g in built.values() for x in (g.adj, g.rows())]
+        for i, x in enumerate(arrays):
+            assert not any(np.may_share_memory(x, y) for y in arrays[i + 1:]), n
 
 
 @pytest.mark.parametrize("subset, absent", [

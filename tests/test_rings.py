@@ -50,6 +50,13 @@ def test_factorize_reconstructs_n(n):
     assert list(f.primes) == sorted(set(f.primes))
 
 
+def test_gcd_sieve_is_gcd_with_n():
+    for n in range(2, 5001):
+        g = rings.gcd_sieve(n)
+        assert g.dtype == np.int64
+        assert np.array_equal(g, np.gcd(np.arange(n), n)), n
+
+
 def test_zero_divisors_examples():
     assert zero_divisors(6).tolist() == [2, 3, 4]
     assert zero_divisors(7).tolist() == []

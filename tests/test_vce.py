@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (all_bipartitions, complete_graph, random_graph, ref_partition_verdict,
-                     ref_tallies)
+                     ref_residue_adj, ref_tallies, residues)
 from znvce import (
     Bipartition,
     GraphFamily,
@@ -20,6 +20,7 @@ from znvce import (
     gamma,
     graph_to_json,
     is_vce,
+    nilradical_graph,
     non_nilradical_graph,
     partition_to_json,
 )
@@ -322,3 +323,25 @@ def test_complete_graph_balanced_split_law():
         assert is_vce(g, balanced) == (m % 2 == 0)
         found = any(is_vce(g, Bipartition(in_b)) for in_b in all_bipartitions(m))
         assert found == (m % 2 == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(4, 700), st.sampled_from([gamma, nilradical_graph, non_nilradical_graph]),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.5, 0.8]))
+def test_row_and_dense_builds_give_identical_reports(n, build, seed, share):
+    # the counting kernel reads a residue graph's rows as built, and a dense
+    # graph's rows as packed from its matrix: the reports must not differ
+    g = build(n)
+    if g.n_vertices < 2:
+        return
+    d = LabeledGraph(g.labels, ref_residue_adj(n, residues(g)), modulus=n)
+    in_b = np.random.default_rng(seed).random(g.n_vertices) < share
+    in_b[0], in_b[-1] = False, True
+    part = Bipartition(in_b)
+    got, want = check_bipartition(g, part), check_bipartition(d, part)
+    assert got.inside.tolist() == want.inside.tolist()
+    assert got.outside.tolist() == want.outside.tolist()
+    assert got.partition_verdict is want.partition_verdict
+    assert got.witnesses == want.witnesses
+    assert is_vce(g, part) == is_vce(d, part)
+    assert g._adj is None
