@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class LabeledGraph:
         with a clear diagonal, or a C-contiguous uint8 array `rows` of shape
         (|V|, ceil(|V| / 8)) that is exactly `np.packbits` of such a matrix
         along axis 1: every padding bit past |V| zero and every diagonal bit
-        clear. `_residue_graph` builds rows so; `line_graph`, `total_graph`
-        and the gathers of `family_graphs` build a dense matrix.
+        clear. `_residue_graphs` builds rows so; `line_graph`, `total_graph`
+        and `family_graphs`' copy of the line graph build a dense matrix.
         `serialize._graph` checks distinctness itself, takes its rows from
         `_rendered_keys` or `parse_label`, which both check a < b, and sets
         both halves of each edge it has checked to satisfy
@@ -239,45 +239,75 @@ def _keys_of(labels: Iterable[VertexLabel]) -> np.ndarray:
     return keys.reshape(-1, 2)
 
 
-def _residue_graph(n: int, keep: Callable[[np.ndarray], np.ndarray]) -> LabeledGraph:
-    """The residues k in [1, n) whose gcd(k, n) passes `keep`, ascending,
-    adjacent iff n | u*v. For every prime power p^e of n, v_p(uv) >= e iff
+class GraphFamily(Enum):
+    GAMMA = "gamma"
+    NILRADICAL = "nilradical"
+    OMEGA = "omega"
+    LINE_OF_GAMMA = "line-of-gamma"
+    TOTAL_OF_GAMMA = "total-of-gamma"
+
+
+# the divisor classes d = gcd(k, n) whose residues each residue graph keeps,
+# by rad = rad(n): the zero divisors, the nonzero nilpotents and the zero
+# divisors that are not nilpotent
+_KEEP = {
+    GraphFamily.GAMMA: lambda d, rad: d > 1,
+    GraphFamily.NILRADICAL: lambda d, rad: d % rad == 0,
+    GraphFamily.OMEGA: lambda d, rad: (d > 1) & (d % rad != 0),
+}
+
+
+def _residue_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily, LabeledGraph]:
+    """For each f of gamma, nilradical and omega in `families`, the residues
+    k in [1, n) whose class gcd(k, n) `_KEEP[f]` keeps, ascending, adjacent
+    iff n | u*v. For every prime power p^e of n, v_p(uv) >= e iff
     min(v_p(u), e) + min(v_p(v), e) >= e, so n | u*v iff
     n | gcd(u, n) * gcd(v, n): adjacency is fixed by a table over the
-    divisor classes gcd(k, n), the compressed zero-divisor graph. The graph
-    is built as rows: the class table packed once, its rows gathered by
-    class, and the diagonal bits cleared."""
+    divisor classes, the compressed zero-divisor graph. The sieve, the
+    classes and the table are shared by every graph asked for, and each is
+    built as rows: the table's columns gathered by class and packed once,
+    its rows gathered by class, and the diagonal bits cleared."""
     gcds = gcd_sieve(n)[1:]
-    vs = np.flatnonzero(keep(gcds))
-    gs = gcds[vs]
-    divisors = np.flatnonzero(np.bincount(gs, minlength=n + 1))
-    cls = np.searchsorted(divisors, gs)
-    table = (divisors[:, None] * divisors[None, :]) % n == 0
-    # row c of the class table, its columns gathered by class and packed, is
-    # a class-c vertex's row: gather rows. `take` keeps the gathered columns
-    # C-ordered, which packs 3-4x as fast as a fancy-indexed column gather
-    rows = np.packbits(table.take(cls, axis=1), axis=1).take(cls, axis=0)
-    v = np.arange(vs.size)
-    rows[v, v >> 3] &= _CLEAR_BIT[v & 7]
-    keys = np.repeat(vs + 1, 2).reshape(-1, 2)
-    return LabeledGraph._from_keys(keys, rows=rows, modulus=n)
+    # every proper divisor d of n is gcd(d, n), so these are all the classes.
+    # Array methods here, not np.flatnonzero and the like: their wrappers
+    # cost as much as the work on a survey-sized modulus
+    divisors = np.bincount(gcds, minlength=n).nonzero()[0]
+    cls = divisors.searchsorted(gcds)
+    table = np.multiply.outer(divisors, divisors) % n == 0
+    # only a vertex u with u^2 = 0 mod n has its own bit set
+    self_adjacent = table.diagonal()
+    rad = factorize(n).radical
+    out = {}
+    for f in families:
+        kept = _KEEP[f](divisors, rad)
+        vs = kept[cls].nonzero()[0]
+        c = cls[vs]
+        # row c of the class table, its columns gathered by class and packed,
+        # is a class-c vertex's row: gather rows. `take` keeps the gathered
+        # columns C-ordered, which packs 3-4x as fast as a fancy-indexed
+        # column gather
+        rows = np.packbits(table.take(c, axis=1), axis=1).take(c, axis=0)
+        if (kept & self_adjacent).any():
+            v = self_adjacent[c].nonzero()[0]
+            rows[v, v >> 3] &= _CLEAR_BIT[v & 7]
+        out[f] = LabeledGraph._from_keys((vs + 1).repeat(2).reshape(-1, 2), rows=rows,
+                                         modulus=n)
+    return out
 
 
 def gamma(n: int) -> LabeledGraph:
     """Zero-divisor graph: vertices gcd(k,n) > 1, edge iff u*v = 0 mod n."""
-    return _residue_graph(n, lambda g: g > 1)
+    return _residue_graphs(n, (GraphFamily.GAMMA,))[GraphFamily.GAMMA]
 
 
 def nilradical_graph(n: int) -> LabeledGraph:
     """Induced on the nonzero nilpotents (multiples of rad(n))."""
-    rad = factorize(n).radical
-    return _residue_graph(n, lambda g: g % rad == 0)
+    return _residue_graphs(n, (GraphFamily.NILRADICAL,))[GraphFamily.NILRADICAL]
 
 
 def non_nilradical_graph(n: int) -> LabeledGraph:
     """Induced on the zero divisors that are not nilpotent."""
-    rad = factorize(n).radical
-    return _residue_graph(n, lambda g: (g > 1) & (g % rad != 0))
+    return _residue_graphs(n, (GraphFamily.OMEGA,))[GraphFamily.OMEGA]
 
 
 def _edge_vertices(g: LabeledGraph, op: str,
@@ -329,53 +359,20 @@ def total_graph(g: LabeledGraph) -> LabeledGraph:
                                    modulus=g.modulus)
 
 
-class GraphFamily(Enum):
-    GAMMA = "gamma"
-    NILRADICAL = "nilradical"
-    OMEGA = "omega"
-    LINE_OF_GAMMA = "line-of-gamma"
-    TOTAL_OF_GAMMA = "total-of-gamma"
-
-
-_OF_GAMMA = frozenset({GraphFamily.GAMMA, GraphFamily.LINE_OF_GAMMA,
-                       GraphFamily.TOTAL_OF_GAMMA})
-
-
-def _induced(g: LabeledGraph, rows: np.ndarray) -> LabeledGraph:
-    """The subgraph of g induced on the vertices where `rows` is True, in
-    g's vertex order, gathered into fresh arrays."""
-    ids = np.flatnonzero(rows)
-    # rows, then columns: the C-ordered matrix of one np.ix_ gather, which
-    # took 2-5x as long on 40 to 1000 vertices (2-core Xeon)
-    adj = g.adj.take(ids, axis=0).take(ids, axis=1)
-    return LabeledGraph._from_keys(g.keys()[ids], adj, modulus=g.modulus)
-
-
 def family_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily, LabeledGraph]:
     """`build_family(n, f)` for every f in `families`, keyed by f, with the
-    work shared between them. Gamma is built once when any of gamma,
-    line-of-gamma and total-of-gamma is asked for, and the nilradical and
-    omega graphs are then its rows whose residue is, or is not, a multiple of
-    rad(n); without gamma they are built directly. When both are asked for,
+    work shared between them. Gamma, the nilradical and the omega graph come
+    from one `_residue_graphs` call, gamma built once when any of gamma,
+    line-of-gamma and total-of-gamma is asked for. When both are asked for,
     the line graph is a copy of the total graph's edge-edge block."""
     fams = {GraphFamily(f) for f in families}
     F = GraphFamily
-    out: dict[GraphFamily, LabeledGraph] = {}
-    if fams.isdisjoint(_OF_GAMMA):
-        if F.NILRADICAL in fams:
-            out[F.NILRADICAL] = nilradical_graph(n)
-        if F.OMEGA in fams:
-            out[F.OMEGA] = non_nilradical_graph(n)
+    need_gamma = bool({F.GAMMA, F.LINE_OF_GAMMA, F.TOTAL_OF_GAMMA} & fams)
+    out = _residue_graphs(n, [f for f in _KEEP if f in fams
+                              or (f is F.GAMMA and need_gamma)])
+    if not need_gamma:
         return out
-    g = gamma(n)
-    if F.GAMMA in fams:
-        out[F.GAMMA] = g
-    if {F.NILRADICAL, F.OMEGA} & fams:
-        nil = g.keys()[:, 0] % factorize(n).radical == 0
-        if F.NILRADICAL in fams:
-            out[F.NILRADICAL] = _induced(g, nil)
-        if F.OMEGA in fams:
-            out[F.OMEGA] = _induced(g, ~nil)
+    g = out[F.GAMMA] if F.GAMMA in fams else out.pop(F.GAMMA)
     if F.TOTAL_OF_GAMMA in fams:
         t = out[F.TOTAL_OF_GAMMA] = total_graph(g)
         if F.LINE_OF_GAMMA in fams:

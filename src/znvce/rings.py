@@ -65,9 +65,10 @@ def gcd_sieve(n: int) -> np.ndarray:
 
     Every entry starts at 1, and for each prime power p^j dividing n every
     p^j-th entry, from 0, is multiplied by p: one strided multiply per prime
-    power in place of a gcd per residue."""
+    power in place of a gcd per residue. Raises DomainError for n < 2."""
+    factors = factorize(n).factors
     g = np.ones(n, dtype=np.int64)
-    for p, e in factorize(n).factors:
+    for p, e in factors:
         for j in range(1, e + 1):
             g[::p ** j] *= p
     return g

@@ -534,8 +534,13 @@ class TestMain:
         # a non-list vertex or edge field used to escape as a TypeError traceback
         gp = write(tmp_path / "g.json", '{"family": "gamma", "vertices": 5, "edges": []}')
         pp = write(tmp_path / "p.json", GOOD_PARTITION)
+        # a modulus below 2 used to escape the residue builders as numpy's
+        # ValueError traceback
         for argv, code in ((["check", gp, pp], 3), (["construct", "7"], 2),
-                           (["search", "--n", "30", "--local", "--seed", "-1"], 2)):
+                           (["search", "--n", "30", "--local", "--seed", "-1"], 2),
+                           (["build", "-5"], 2), (["construct", "-5"], 2),
+                           (["build", "0", "--family", "omega"], 2),
+                           (["construct", "1", "--family", "total-of-gamma"], 2)):
             assert main(argv) == code
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("error:")

@@ -218,6 +218,18 @@ def test_total_graph_degree_laws():
             assert deg_t[nv + k] == deg_g[i] + deg_g[j]
 
 
+@pytest.mark.parametrize("n", [-5, 0, 1])
+def test_moduli_below_two_are_a_domain_error(n):
+    for build in (gamma, nilradical_graph, non_nilradical_graph):
+        with pytest.raises(DomainError):
+            build(n)
+    for family in GraphFamily:
+        with pytest.raises(DomainError):
+            build_family(n, family)
+    with pytest.raises(DomainError):
+        family_graphs(n, GraphFamily)
+
+
 def test_transforms_reject_non_residue_labels():
     t = total_graph(gamma(10))
     with pytest.raises(DomainError):
@@ -466,9 +478,12 @@ def test_build_family_matches_direct_builders():
             assert _same_graph(build_family(n, family.value), _DIRECT[family](n)), (n, family)
 
 
+_ROW_BUILT = {GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA}
+
+
 def test_family_graphs_match_the_direct_builders():
-    # the cut nilradical and omega graphs, and the line graph copied out of
-    # the total graph, against each family built on its own
+    # the three residue graphs built from one shared sieve, and the line
+    # graph copied out of the total graph, against each family built on its own
     for n in range(2, 301):
         built = family_graphs(n, GraphFamily)
         assert set(built) == set(GraphFamily)
@@ -477,6 +492,13 @@ def test_family_graphs_match_the_direct_builders():
             a = g.adj
             assert a.dtype == bool and not a.flags.writeable, (n, family)
             assert a.flags.c_contiguous, (n, family)
+            # a graph built dense owns its adjacency; one built from rows
+            # unpacks into a uint8 buffer of its own, viewed as bool, that
+            # holds the adjacency and nothing more
+            own = a.base if family in _ROW_BUILT else a
+            assert own.flags.owndata and own.base is None, (n, family)
+            assert own.nbytes == a.nbytes, (n, family)
+            assert g.rows().flags.owndata, (n, family)
         # _from_keys takes arrays that nothing else holds, and an unpacked
         # adjacency gets a buffer of its own, so no graph's adjacency or rows
         # overlap another's (the line graph's are no view into the total
@@ -500,7 +522,12 @@ def test_family_subsets_build_only_what_they_need(monkeypatch, subset, absent):
     def forbidden(*args):
         raise AssertionError(f"{absent} ran for {sorted(subset)}")
 
-    monkeypatch.setattr(graphs, absent, forbidden)
+    if absent == "gamma":
+        # the residue graphs come from one shared build, which cannot make
+        # gamma without its entry here
+        monkeypatch.delitem(graphs._KEEP, GraphFamily.GAMMA)
+    else:
+        monkeypatch.setattr(graphs, absent, forbidden)
     for n in range(2, 121):
         built = family_graphs(n, subset)
         assert set(built) == {GraphFamily(f) for f in subset}

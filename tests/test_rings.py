@@ -55,6 +55,9 @@ def test_gcd_sieve_is_gcd_with_n():
         g = rings.gcd_sieve(n)
         assert g.dtype == np.int64
         assert np.array_equal(g, np.gcd(np.arange(n), n)), n
+    for n in (-5, 0, 1):
+        with pytest.raises(DomainError):
+            rings.gcd_sieve(n)
 
 
 def test_zero_divisors_examples():
