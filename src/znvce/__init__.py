@@ -11,9 +11,7 @@ from types import ModuleType as _ModuleType
 from .constructions import (
     Certificate,
     ConstructionId,
-    ExhaustedSearch,
     Exists,
-    IsolatedVertex,
     NotVce,
     dispatch,
     vce_line_pq,
@@ -59,10 +57,13 @@ from .rings import (
 )
 from .search import (
     DEFAULT_VERTEX_CAP,
+    ExhaustedSearch,
+    IsolatedVertex,
     SearchOutcome,
     SearchStatus,
     brute_force,
     class_search,
+    exact_search,
     isolated_obstruction,
     local_search,
     twin_classes,

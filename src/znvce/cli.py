@@ -6,12 +6,11 @@ import csv
 import io
 import sys
 
-from .constructions import Certificate, Exists, ExhaustedSearch, IsolatedVertex, NotVce, dispatch
+from .constructions import Exists, certify, dispatch
 from .errors import DomainError, FormatError, PartitionError
 from .graphs import GraphFamily, LabeledGraph, build_family, family_graphs
 from .rings import modulus_shape
-from .search import (DEFAULT_VERTEX_CAP, SearchStatus, brute_force, class_budget, class_search,
-                      local_search)
+from .search import DEFAULT_VERTEX_CAP, SearchStatus, exact_search, local_search
 from .serialize import (
     graph_from_json,
     graph_to_dot,
@@ -39,29 +38,21 @@ def _side_lines(g: LabeledGraph, part: Bipartition) -> list[str]:
             for side, ids in (("R", part.r_ids), ("B", part.b_ids))]
 
 
-def _render_certificate(cert: Certificate | None) -> tuple[str, int]:
-    if cert is None:
-        return ("unknown: no construction applies, the graph exceeds the exhaustive cap, "
-                "and the twin-class search within 2^(cap-1) vectors found no partition\n"), 2
-    if isinstance(cert, Exists):
-        lines = _side_lines(cert.graph, cert.partition) + [
-            "verdict: VeryCostEffective",
-            f"source: {cert.source_tag}",
-        ]
-        return "\n".join(lines) + "\n", 0
-    w = cert.witness
-    if isinstance(w, IsolatedVertex):
-        return f"NotVce: isolated vertex {w.label.render()}\n", 1
-    return (f"NotVce: exhaustive search examined {w.partitions_examined} "
-            "bipartitions, none very cost effective\n"), 1
-
-
 def cmd_construct(n: int, family: GraphFamily, cap: int = DEFAULT_VERTEX_CAP) -> tuple[str, int]:
     try:
         cert = dispatch(n, family, vertex_cap=cap)
     except DomainError as exc:
         return f"error: {exc}\n", 2
-    return _render_certificate(cert)
+    if cert is None:
+        return ("unknown: no construction applies, the graph exceeds the exhaustive cap, "
+                "and the twin-class search within 2^(cap-1) vectors found no partition\n"), 2
+    if not isinstance(cert, Exists):
+        return f"NotVce: {cert.witness.render()}\n", 1
+    lines = _side_lines(cert.graph, cert.partition) + [
+        "verdict: VeryCostEffective",
+        f"source: {cert.source_tag}",
+    ]
+    return "\n".join(lines) + "\n", 0
 
 
 def _read_text(path: str, what: str) -> str:
@@ -112,18 +103,16 @@ def cmd_search(
         if local:
             out = local_search(g, max_restarts=restarts, max_steps=steps, rng_seed=seed)
         else:
-            # past the cap, the twin-class search with the budget dispatch gives it
-            out = brute_force(g, vertex_cap=cap)
-            if out.status is SearchStatus.INCONCLUSIVE:
-                out = class_search(g, class_budget(cap))
+            out = exact_search(g, cap)
     except (OSError, FormatError, DomainError) as exc:
         return f"error: {exc}\n", 2
+    cert = certify(g, out)  # verifies a found partition, as construct does
     lines = [f"status: {out.status.value}",
              f"examined: {out.partitions_examined}"]
     if out.reason:
         lines.append(f"reason: {out.reason}")
-    if out.partition is not None:
-        lines += _side_lines(g, out.partition)
+    if isinstance(cert, Exists):
+        lines += _side_lines(g, cert.partition)
     code = {SearchStatus.FOUND: 0, SearchStatus.NONE_EXISTS: 1,
             SearchStatus.INCONCLUSIVE: 2}[out.status]
     return "\n".join(lines) + "\n", code
@@ -141,8 +130,7 @@ def _survey_row(n: int, family: GraphFamily, cap: int, g: LabeledGraph) -> list:
     if isinstance(cert, Exists):
         verdict = "VCE-by-construction" if cert.source is not None else "VCE-by-search"
         return row + [verdict, cert.source_tag]
-    kind = "isolated-vertex" if isinstance(cert.witness, IsolatedVertex) else "exhausted-search"
-    return row + ["Not-VCE", kind]
+    return row + ["Not-VCE", cert.witness.tag]
 
 
 def cmd_survey(n_min: int, n_max: int, families: list[GraphFamily] | None = None,

@@ -17,20 +17,17 @@ from typing import Callable, NamedTuple, Union
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ShapeError
-from .graphs import (
-    GraphFamily,
-    LabeledGraph,
-    VertexLabel,
-    build_family,
-)
+from .graphs import GraphFamily, LabeledGraph, build_family
 from .rings import ModulusShape, ShapeKind, is_prime, modulus_shape
+# brute_force stays a name of this module for perfbench's tracer test
 from .search import (
     DEFAULT_VERTEX_CAP,
+    ExhaustedSearch,
+    IsolatedVertex,
+    SearchOutcome,
     SearchStatus,
     brute_force,
-    class_budget,
-    class_search,
-    isolated_obstruction,
+    exact_search,
 )
 from .vce import Bipartition, is_vce
 
@@ -47,17 +44,6 @@ class ConstructionId(Enum):
     THM3_3IV_P2Q_NIL = "Thm3_3iv_P2Q_Nil"
     THM3_5_OMEGA_SQUAREFREE = "Thm3_5_OmegaSquarefree"
     THM4_2_TOTAL_PQ = "Thm4_2_TotalPQ"
-
-
-@dataclass(frozen=True)
-class IsolatedVertex:
-    vertex: int
-    label: VertexLabel
-
-
-@dataclass(frozen=True)
-class ExhaustedSearch:
-    partitions_examined: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +68,7 @@ class NotVce:
     """Proof that no very-cost-effective bipartition exists."""
 
     graph: LabeledGraph
-    witness: Union[IsolatedVertex, ExhaustedSearch]
+    witness: IsolatedVertex | ExhaustedSearch
 
     def __post_init__(self):
         w = self.witness
@@ -290,16 +276,20 @@ def vce_total_pq(p: int, q: int) -> Bipartition:
     return _construct(p * q, GraphFamily.TOTAL_OF_GAMMA)
 
 
+def certify(g: LabeledGraph, out: SearchOutcome) -> Certificate | None:
+    """The certificate of the search outcome `out` on g: `Exists` for a found
+    partition, verified as every partition is; `NotVce` for a witness that
+    none exists; otherwise None."""
+    if out.status is SearchStatus.FOUND:
+        return Exists(g, out.partition)
+    return None if out.witness is None else NotVce(g, out.witness)
+
+
 def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, *,
              graph: LabeledGraph | None = None) -> Certificate | None:
-    """Certificate for (n, family), tried in this order: a construction when
-    one applies, the isolated-vertex obstruction, `brute_force` within
-    `vertex_cap` vertices, and past the cap `class_search` over the twin
-    classes, with the budget `brute_force` has at the cap, 2^(vertex_cap - 1)
-    vectors. None means the shape is unhandled, the graph is over the cap, and
-    the class search found no partition: either its class space is over the
-    budget, or it proved that none exists. That proof stays None for now,
-    because nothing outside the search recounts a class-count witness yet.
+    """Certificate for (n, family): the construction when one applies, else
+    the certificate of `search.exact_search(g, vertex_cap)`. None means that
+    search found no partition and handed over no witness that none exists.
 
     `graph` is `build_family(n, family)` when the caller has built it already;
     it is not rebuilt. A partition is still verified against it."""
@@ -312,12 +302,4 @@ def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, 
     if route is not None:
         split, cid = route
         return Exists(g, split(g, shape), source=cid)
-    v = isolated_obstruction(g)
-    if v is not None:
-        return NotVce(g, IsolatedVertex(v, g.label(v)))
-    out = brute_force(g, vertex_cap)
-    if out.status is SearchStatus.NONE_EXISTS:
-        return NotVce(g, ExhaustedSearch(out.partitions_examined))
-    if out.status is SearchStatus.INCONCLUSIVE:
-        out = class_search(g, class_budget(vertex_cap))
-    return Exists(g, out.partition, source=None) if out.status is SearchStatus.FOUND else None
+    return certify(g, exact_search(g, vertex_cap))

@@ -38,9 +38,10 @@ VertexLabel = Union[Residue, EdgePair]
 # byte masks that clear bit 128 >> i of a packed row, by i = u % 8
 _CLEAR_BIT = ~(128 >> np.arange(8)).astype(np.uint8)
 
-# most bytes of rows that one gather of the line-graph builder copies at once:
-# blocks of 256 KiB built the shared-endpoint block of line-of-gamma(1500)
-# fastest of 64 KiB..4 MiB tried (18 ms, 2-core Xeon)
+# most bytes of rows that one gather of the line-graph builder copies, or one
+# block of `edge_ends` unpacks, at once: blocks of 256 KiB built the
+# shared-endpoint block of line-of-gamma(1500) fastest of 64 KiB..4 MiB
+# tried (18 ms, 2-core Xeon)
 _GATHER_BYTES = 1 << 18
 
 
@@ -175,9 +176,28 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u, v])
 
+    def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends i < j of every edge as two intp arrays, in lexicographic
+        order, as `np.nonzero(np.triu(adj))` gives them. They are read from
+        the rows, a block of at most _GATHER_BYTES // |V| rows at a time:
+        first the set bytes of the block, in order, then their set bits, so
+        `adj` is never unpacked and no temporary grows with |V|^2."""
+        nv, rows = self.n_vertices, self.rows()
+        step = max(1, _GATHER_BYTES // max(1, nv))
+        iu, iv = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        for a in range(0, nv, step):
+            blk = rows[a:a + step]
+            r, c = blk.nonzero()
+            k, bit = np.unpackbits(blk[r, c][:, None], axis=1).nonzero()
+            i, j = r[k] + a, c[k] * 8 + bit
+            upper = j > i
+            iu.append(i[upper])
+            iv.append(j[upper])
+        return np.concatenate(iu), np.concatenate(iv)
+
     def edges(self) -> list[tuple[int, int]]:
         """Edges as (i, j) with i < j, sorted lexicographically."""
-        iu, iv = np.nonzero(np.triu(self.adj))
+        iu, iv = self.edge_ends()
         return list(zip(iu.tolist(), iv.tolist()))
 
     def n_edges(self) -> int:
@@ -321,7 +341,7 @@ def _edge_vertices(g: LabeledGraph, op: str,
     keys = g.keys()
     if (keys[:, 0] != keys[:, 1]).any():
         raise DomainError(f"{op} expects a residue-labeled graph, found EdgePair")
-    iu, iv = np.nonzero(np.triu(g.adj))
+    iu, iv = g.edge_ends()
     ku, kv = keys[iu, 0], keys[iv, 0]
     edge_keys = np.stack([np.minimum(ku, kv), np.maximum(ku, kv)], axis=1)
     ne = iu.size

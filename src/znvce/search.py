@@ -1,17 +1,18 @@
 """Ground truth for very-cost-effective existence: exhaustive enumeration,
-the exact search over twin classes, the isolated-vertex obstruction, and a
-greedy local-search heuristic."""
+the exact search over twin classes and the chain of the two, the witnesses
+that none exists, and a greedy local-search heuristic."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
 from time import perf_counter
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, VertexLabel
 from .vce import Bipartition
 
 DEFAULT_VERTEX_CAP = 26
@@ -41,13 +42,40 @@ class SearchStatus(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+@dataclass(frozen=True)
+class IsolatedVertex:
+    """A vertex with no neighbours, which no side makes very cost effective."""
+
+    vertex: int
+    label: VertexLabel
+    tag: ClassVar[str] = "isolated-vertex"
+
+    def render(self) -> str:
+        return f"isolated vertex {self.label.render()}"
+
+
+@dataclass(frozen=True)
+class ExhaustedSearch:
+    """Every bipartition examined, none very cost effective."""
+
+    partitions_examined: int
+    tag: ClassVar[str] = "exhausted-search"
+
+    def render(self) -> str:
+        return (f"exhaustive search examined {self.partitions_examined} "
+                "bipartitions, none very cost effective")
+
+
 @dataclass(frozen=True, eq=False)
 class SearchOutcome:
+    """What a search did; `witness` is a NoneExists's proof, when it has one."""
+
     status: SearchStatus
     partition: Bipartition | None
     partitions_examined: int
     elapsed: float
     reason: str = ""
+    witness: IsolatedVertex | ExhaustedSearch | None = None
 
 
 def isolated_obstruction(g: LabeledGraph) -> int | None:
@@ -58,16 +86,16 @@ def isolated_obstruction(g: LabeledGraph) -> int | None:
 
 
 def _unsearched(g: LabeledGraph, t0: float) -> SearchOutcome | None:
-    """NoneExists with nothing examined when g has fewer than two vertices
-    or an isolated vertex; otherwise None."""
-    if g.n_vertices < 2:
-        reason = "no valid bipartition on fewer than two vertices"
-    else:
-        v = isolated_obstruction(g)
-        if v is None:
-            return None
-        reason = f"isolated vertex {g.label(v).render()}"
-    return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0, reason=reason)
+    """NoneExists with nothing examined, and the smallest isolated vertex (if
+    any) as witness, when g has fewer than two vertices or an isolated one."""
+    v = isolated_obstruction(g)
+    if v is None and g.n_vertices > 1:
+        return None
+    witness = None if v is None else IsolatedVertex(v, g.label(v))
+    reason = (witness.render() if g.n_vertices > 1
+              else "no valid bipartition on fewer than two vertices")
+    return SearchOutcome(SearchStatus.NONE_EXISTS, None, 0, perf_counter() - t0,
+                         reason=reason, witness=witness)
 
 
 def _components(nbrs: list[list[int]]) -> list[list[int]]:
@@ -190,7 +218,7 @@ def brute_force(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Search
     B, so masks 1 .. 2^(|V|-1) - 1 are scanned. A found partition is the
     first in this order and partitions_examined is its mask, so runs are
     deterministic. As in class_search, an isolated vertex is NoneExists with
-    none examined.
+    none examined and that vertex as the witness.
 
     The scan is the class search's kernel, _first_vce, run over singleton
     classes: a class of radix 2 per free vertex and of radix 1 for vertex 0,
@@ -202,7 +230,8 @@ def brute_force(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Search
     A scan of 2^17 masks or more first asks the refuter once, with a
     bounded number of branch nodes; a refuter that gives up leaves the
     whole scan to run. Either way the count of a NoneExists outcome covers
-    every mask, each one evaluated or ruled out by a neighbour-count bound.
+    every mask, each one evaluated or ruled out by a neighbour-count bound,
+    and its witness is an ExhaustedSearch of that count.
     """
     t0 = perf_counter()
     out = _unsearched(g, t0)
@@ -226,7 +255,7 @@ def brute_force(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Search
     mask = None if refuted else _first_vce(g.adj, ones, ones == 0, radix)
     if mask is None:
         return SearchOutcome(SearchStatus.NONE_EXISTS, None, space - 1, perf_counter() - t0,
-                             reason="enumeration exhausted")
+                             reason="enumeration exhausted", witness=ExhaustedSearch(space - 1))
     in_b = np.zeros(nv, dtype=bool)
     in_b[1:] = [(mask >> i) & 1 for i in range(free)]
     return SearchOutcome(SearchStatus.FOUND, Bipartition(in_b), mask, perf_counter() - t0)
@@ -425,12 +454,6 @@ def twin_classes(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     return _twins(g)[:2]
 
 
-def class_budget(vertex_cap: int) -> int:
-    """The class_search budget that matches brute_force at vertex_cap: the
-    2^(vertex_cap - 1) masks it scans there, or 0 for a cap below one."""
-    return 1 << (vertex_cap - 1) if vertex_cap > 0 else 0
-
-
 def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     """Exact existence search over the twin classes of `g`.
 
@@ -443,9 +466,10 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     lowest digit, with the kernel brute_force scans masks with. The first
     very-cost-effective vector puts the b_i smallest ids of each class on
     side B; partitions_examined counts the vectors up to and including it,
-    or all of them. As in brute_force, an isolated vertex is NoneExists with
-    none examined. A class space over max_vectors is Inconclusive before
-    anything is enumerated; one over 2^62 within the budget is a DomainError.
+    or all of them; nothing recounts a class space, so its NoneExists has no
+    witness. An isolated vertex is answered as in brute_force. A class space
+    over max_vectors is Inconclusive before anything is enumerated; one over
+    2^62 within the budget is a DomainError.
     """
     t0 = perf_counter()
     out = _unsearched(g, t0)
@@ -472,6 +496,17 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     digit = index // (np.cumprod(radix) // radix) % radix
     b = np.where(clique, digit, digit * size)
     return SearchOutcome(SearchStatus.FOUND, _expand(cls, b), index + 1, perf_counter() - t0)
+
+
+def exact_search(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
+    """The fallback of `dispatch` and `znvce search`: `brute_force` within
+    `vertex_cap` vertices (an isolated vertex is answered before its scan),
+    and past the cap `class_search` with the budget `brute_force` has at the
+    cap, its 2^(vertex_cap - 1) masks (0 for a cap below one)."""
+    out = brute_force(g, vertex_cap)
+    if out.status is SearchStatus.INCONCLUSIVE:
+        out = class_search(g, 1 << (vertex_cap - 1) if vertex_cap > 0 else 0)
+    return out
 
 
 def _first_vce(m: np.ndarray, size: np.ndarray, clique: np.ndarray,

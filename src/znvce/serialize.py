@@ -58,7 +58,7 @@ def graph_to_json_obj(g: LabeledGraph, family: GraphFamily) -> dict:
         "n": g.modulus,
         "family": GraphFamily(family).value,
         "vertices": list(g.names()),
-        "edges": np.argwhere(np.triu(g.adj)).tolist(),
+        "edges": np.stack(g.edge_ends(), axis=1).tolist(),
     }
 
 

@@ -9,11 +9,13 @@ import pytest
 from helpers import ref_check_text
 from znvce import (
     Bipartition,
+    ConstructionError,
     Exists,
     GraphFamily,
     IsolatedVertex,
     LabeledGraph,
     Residue,
+    SearchStatus,
     build_family,
     classify,
     cli,
@@ -22,7 +24,9 @@ from znvce import (
     factorize,
     gamma,
     graph_to_json,
+    is_vce,
     partition_to_json,
+    search,
     total_graph,
 )
 from znvce.cli import (
@@ -371,6 +375,25 @@ class TestSearch:
         text, code = cmd_search(n=64)
         assert code == 1
         assert text == "status: NoneExists\nexamined: 120\nreason: class space exhausted\n"
+
+    @pytest.mark.parametrize("n, local", [(16, False), (48, False), (16, True)])
+    def test_a_partition_that_fails_verification_is_never_printed(self, monkeypatch, n, local):
+        # vector 1 puts one vertex, or one class, alone on side B; the hill
+        # climber is made to stop on vertex 0 alone on side B
+        monkeypatch.setattr(search, "_first_vce", lambda *args: 1)
+        monkeypatch.setattr(search, "_climb_one",
+                            lambda a2, s, steps: (1, np.arange(s.size) == 0))
+        g = gamma(n)
+        out = search.local_search(g) if local else search.exact_search(g)
+        assert out.status is SearchStatus.FOUND and not is_vce(g, out.partition)
+        with pytest.raises(ConstructionError, match="failed verification"):
+            cmd_search(n=n, local=local)
+
+    def test_zero_vertex_graph_file(self, tmp_path):
+        gp = write(tmp_path / "g7.json", graph_to_json(gamma(7), GraphFamily.GAMMA))
+        assert cmd_search(graph_path=gp) == (
+            "status: NoneExists\nexamined: 0\n"
+            "reason: no valid bipartition on fewer than two vertices\n", 1)
 
     def test_local_mode(self):
         text, code = cmd_search(n=15, local=True, seed=3)

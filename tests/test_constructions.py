@@ -16,10 +16,13 @@ from znvce import (
     SearchStatus,
     ShapeError,
     brute_force,
+    build_family,
     check_bipartition,
     dispatch,
+    exact_search,
     gamma,
     is_vce,
+    isolated_obstruction,
     line_graph,
     nilradical_graph,
     non_nilradical_graph,
@@ -32,7 +35,7 @@ from znvce import (
     vce_squarefree,
     vce_total_pq,
 )
-from znvce import constructions
+from znvce import constructions, search
 
 
 class TestSquarefree:
@@ -338,6 +341,10 @@ class TestDispatch:
         assert isinstance(cert.witness, IsolatedVertex)
         assert cert.witness.label == Residue(2)
 
+    def test_single_gamma_vertex_is_its_own_witness(self):
+        # gamma(4) has no construction; the search hands over vertex 2
+        assert dispatch(4, GraphFamily.GAMMA).witness == IsolatedVertex(0, Residue(2))
+
     def test_empty_graph_raises(self):
         with pytest.raises(DomainError):
             dispatch(7, GraphFamily.GAMMA)
@@ -470,6 +477,39 @@ def test_dispatch_never_unpacks_a_residue_graph(n, family, kind):
     cert = dispatch(n, family)
     assert isinstance(cert, kind)
     assert cert.graph._adj is None
+
+
+@pytest.mark.parametrize("n, family, searches", [
+    (12, GraphFamily.OMEGA, 1),            # isolated vertex 2
+    (4, GraphFamily.GAMMA, 1),             # one vertex
+    (16, GraphFamily.GAMMA, 1),            # exhausted scan
+    (48, GraphFamily.GAMMA, 2),            # past the cap: found by the class search
+    (64, GraphFamily.NILRADICAL, 2),       # past the cap: class space exhausted
+    (36, GraphFamily.TOTAL_OF_GAMMA, 2),   # past the cap: over the class budget
+])
+def test_dispatch_asks_for_isolated_vertices_only_through_the_search(monkeypatch, n, family,
+                                                                     searches):
+    # dispatch makes no isolated_obstruction call of its own: one per search
+    # that runs, as exact_search makes on the same graph
+    calls = []
+
+    def spy(g):
+        calls.append(g.n_vertices)
+        return isolated_obstruction(g)
+    monkeypatch.setattr(search, "isolated_obstruction", spy)
+    cert = dispatch(n, family)
+    by_dispatch, calls[:] = calls[:], []
+    out = exact_search(build_family(n, family))
+    assert by_dispatch == calls and len(calls) == searches
+    assert not hasattr(constructions, "isolated_obstruction")
+    if isinstance(cert, NotVce):
+        assert cert.witness == out.witness
+
+
+def test_witnesses_are_one_class_under_every_name():
+    import znvce
+    for name in ("IsolatedVertex", "ExhaustedSearch"):
+        assert getattr(znvce, name) is getattr(constructions, name) is getattr(search, name)
 
 
 def test_constructed_small_graphs_agree_with_brute_force():

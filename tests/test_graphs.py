@@ -147,6 +147,55 @@ def test_degrees_are_row_sums_on_every_family():
             assert fresh.n_edges() == int(g.adj.sum()) // 2, (n, family)
 
 
+def _upper_edges(g):
+    return np.nonzero(np.triu(g.adj))
+
+
+def _assert_same_edges(g, what):
+    got, want = g.edge_ends(), _upper_edges(g)
+    for x, y in zip(got, want):
+        assert x.dtype == np.intp and np.array_equal(x, y), what
+
+
+def test_edge_ends_are_the_upper_triangle_on_every_family():
+    # read from the rows: a residue graph is never unpacked for its edges
+    tails = set()
+    for n in range(2, 201):
+        for family, g in family_graphs(n, GraphFamily).items():
+            fresh = build_family(n, family)
+            iu, iv = fresh.edge_ends()
+            if family in (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA):
+                assert fresh._adj is None, (n, family)
+            _assert_same_edges(g, (n, family))
+            assert fresh.edges() == list(zip(iu.tolist(), iv.tolist())), (n, family)
+            tails.add(g.n_vertices % 8)
+    assert tails == set(range(8))
+
+
+def test_edge_ends_of_the_empty_graph():
+    for g in (gamma(7), LabeledGraph([], np.zeros((0, 0), dtype=bool))):
+        iu, iv = g.edge_ends()
+        assert iu.dtype == iv.dtype == np.intp and iu.size == iv.size == 0
+        assert g.edges() == []
+
+
+@pytest.mark.parametrize("gather_bytes", [1, 64, 1 << 10])
+def test_edge_ends_in_blocks_of_one_row_and_more(monkeypatch, gather_bytes):
+    # a budget under |V| bytes reads one row per block
+    monkeypatch.setattr(graphs, "_GATHER_BYTES", gather_bytes)
+    for n in (16, 30, 36, 64, 105, 120):
+        for family, g in family_graphs(n, GraphFamily).items():
+            _assert_same_edges(g, (n, family, gather_bytes))
+
+
+def test_graph_json_and_dot_list_the_edge_ends():
+    for n, family in ((36, GraphFamily.GAMMA), (30, GraphFamily.TOTAL_OF_GAMMA)):
+        g = build_family(n, family)
+        iu, iv = _upper_edges(g)
+        assert json.loads(graph_to_json(g, family))["edges"] == np.stack((iu, iv), 1).tolist()
+        assert serialize.graph_to_dot(g, family).count(" -- ") == iu.size
+
+
 def test_line_graph_of_gamma_16():
     lg = line_graph(gamma(16))
     assert lg.n_vertices == 7

@@ -19,20 +19,26 @@ from helpers import (
 from znvce import (
     DEFAULT_VERTEX_CAP,
     DomainError,
+    ExhaustedSearch,
     GraphFamily,
+    IsolatedVertex,
     LabeledGraph,
     Residue,
     SearchStatus,
     brute_force,
     build_family,
+    class_search,
+    exact_search,
     gamma,
+    graph_from_json,
     is_vce,
     isolated_obstruction,
     local_search,
+    nilradical_graph,
     non_nilradical_graph,
     total_graph,
 )
-from znvce import constructions, search
+from znvce import search
 from znvce.cli import cmd_survey
 
 
@@ -298,6 +304,88 @@ def _budget(nv: int) -> int:
     return max(16, 2**(nv - 1) >> 16)
 
 
+class TestWitness:
+    """A NoneExists hands over its proof, where it has one; no other outcome
+    carries a witness."""
+
+    def test_isolated_vertex(self):
+        g = non_nilradical_graph(12)
+        for out in (brute_force(g), class_search(g, 1 << 25), exact_search(g)):
+            assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 0
+            assert out.witness == IsolatedVertex(0, Residue(2))
+            assert out.reason == out.witness.render() == "isolated vertex 2"
+
+    @pytest.mark.parametrize("build", [gamma, nilradical_graph])
+    def test_one_vertex_is_isolated(self, build):
+        g = build(4)
+        for out in (brute_force(g), class_search(g, 1 << 25), exact_search(g)):
+            assert out.status is SearchStatus.NONE_EXISTS
+            assert out.witness == IsolatedVertex(0, Residue(2))
+            assert out.reason == "no valid bipartition on fewer than two vertices"
+
+    def test_zero_vertex_graph_file_has_none(self):
+        g, _ = graph_from_json('{"n": 7, "family": "gamma", "vertices": [], "edges": []}')
+        for out in (brute_force(g), class_search(g, 1 << 25), exact_search(g)):
+            assert out.status is SearchStatus.NONE_EXISTS and out.witness is None
+
+    def test_exhausted_scan(self):
+        for g, examined in ((gamma(16), 63), (complete_graph(5), 15),
+                            (build_family(26, GraphFamily.TOTAL_OF_GAMMA), 16_777_215)):
+            out = brute_force(g)
+            assert out.status is SearchStatus.NONE_EXISTS
+            assert out.witness == ExhaustedSearch(examined) and out.partitions_examined == examined
+            assert exact_search(g).witness == out.witness
+
+    def test_exhausted_class_space_has_none(self):
+        g = gamma(64)
+        for out in (class_search(g, 1 << 25), exact_search(g)):
+            assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 120
+            assert out.witness is None
+
+    def test_found_and_inconclusive_have_none(self):
+        outs = [brute_force(gamma(30)), brute_force(gamma(60), vertex_cap=10),
+                class_search(gamma(48), 1 << 25), class_search(gamma(100), 512),
+                exact_search(gamma(48)), exact_search(gamma(100), vertex_cap=10),
+                local_search(gamma(15)), local_search(gamma(16), max_restarts=1, max_steps=1)]
+        assert [o.status.value for o in outs] == ["Found", "Inconclusive"] * 4
+        assert all(o.witness is None for o in outs)
+
+    def test_witnesses_render_their_lines_and_survey_tags(self):
+        iso, ex = IsolatedVertex(3, Residue(10)), ExhaustedSearch(255)
+        assert (iso.tag, iso.render()) == ("isolated-vertex", "isolated vertex 10")
+        assert (ex.tag, ex.render()) == (
+            "exhausted-search", "exhaustive search examined 255 bipartitions, none very cost effective")
+
+
+class TestExactSearch:
+    """brute_force within the cap, then class_search with 2^(cap - 1) vectors."""
+
+    @pytest.mark.parametrize("n, cap, first, then", [
+        (16, 26, "NoneExists", None),
+        (30, 26, "Found", None),
+        (48, 26, "Inconclusive", "Found"),
+        (64, 26, "Inconclusive", "NoneExists"),
+        (100, 10, "Inconclusive", "Inconclusive"),
+        (100, 0, "Inconclusive", "Inconclusive"),
+    ])
+    def test_chain(self, monkeypatch, n, cap, first, then):
+        calls = []
+        for name in ("brute_force", "class_search"):
+            def spy(g, limit, real=getattr(search, name), name=name):
+                out = real(g, limit)
+                calls.append((name, limit, out.status.value))
+                return out
+            monkeypatch.setattr(search, name, spy)
+        out = exact_search(gamma(n), cap)
+        assert calls[0] == ("brute_force", cap, first)
+        if then is None:
+            assert len(calls) == 1
+        else:
+            budget = 1 << (cap - 1) if cap > 0 else 0
+            assert calls[1:] == [("class_search", budget, then)]
+        assert out.status.value == calls[-1][2]
+
+
 class TestRefuter:
     """The bounded refutation that brute_force asks for once, before it
     scans 2^17 masks or more, with a node budget of 1/2^16 of the masks (at
@@ -419,7 +507,7 @@ class TestRefuter:
             out = brute_force(g, vertex_cap)
             per_call.append((g.n_vertices, calls[before:]))
             return out
-        monkeypatch.setattr(constructions, "brute_force", counted)
+        monkeypatch.setattr(search, "brute_force", counted)
         cmd_survey(27, 39)
         assert calls and len(per_call) > len(calls)
         assert all(len(asked) <= 1 for _, asked in per_call)
