@@ -35,27 +35,27 @@ class EdgePair:
 
 VertexLabel = Union[Residue, EdgePair]
 
-# byte masks that clear bit 128 >> i of a packed row, by i = u % 8
-_CLEAR_BIT = ~(128 >> np.arange(8)).astype(np.uint8)
+# the byte that holds bit 128 >> i of a packed row, and the mask that clears
+# it, by i = u % 8
+_BIT = (128 >> np.arange(8)).astype(np.uint8)
+_CLEAR_BIT = ~_BIT
 
-# most bytes of rows that one gather of the line-graph builder copies, or one
-# block of `edge_ends` unpacks, at once: blocks of 256 KiB built the
-# shared-endpoint block of line-of-gamma(1500) fastest of 64 KiB..4 MiB
-# tried (18 ms, 2-core Xeon)
+# most bytes of rows that one gather of the line and total graph builder
+# writes, or one block of `edge_ends` unpacks, at once
 _GATHER_BYTES = 1 << 18
 
 
 class LabeledGraph:
     """Simple undirected graph; vertex ids are 0..|V|-1 fixed by label order.
 
-    Adjacency has two read-only forms: `adj`, a dense |V|-square bool matrix,
-    and `rows()`, the same rows packed to bytes as `np.packbits(adj, axis=1)`
-    packs them (vertex u is bit 128 >> u % 8 of byte u // 8, padding bits
-    zero, diagonal clear). A graph is handed exactly one form; the other is
-    derived from it on first use and kept, so the two never disagree. Labels
-    are held as a read-only (|V|, 2) int64 key array: `Residue(k)` is the row
-    (k, k) and `EdgePair(a, b)` the row (a, b), a < b, so the two kinds never
-    share a key. The label objects are built from the keys on first use.
+    Adjacency is held as `rows()`, read-only rows packed to bytes as
+    `np.packbits(adj, axis=1)` packs a |V|-square bool matrix (vertex u is
+    bit 128 >> u % 8 of byte u // 8, padding bits zero, diagonal clear).
+    `adj`, that dense matrix, is unpacked from the rows on first read and
+    kept, so the two never disagree. Labels are held as a read-only (|V|, 2)
+    int64 key array: `Residue(k)` is the row (k, k) and `EdgePair(a, b)` the
+    row (a, b), a < b, so the two kinds never share a key. The label objects
+    are built from the keys on first use.
     `modulus` records the n the graph derives from and survives the
     line/total transforms. Degrees are counted on first use.
     """
@@ -64,48 +64,42 @@ class LabeledGraph:
                  "_names")
 
     def __init__(self, labels: Iterable[VertexLabel], adj, modulus: int | None = None):
-        keys, a = _keys_of(labels), np.array(adj, dtype=bool)
+        keys, a = _keys_of(labels), np.asarray(adj, dtype=bool)
         if a.shape != (len(keys), len(keys)):
             raise ValueError(f"adjacency shape {a.shape} does not match {len(keys)} labels")
-        # one |V|^2 temporary, no larger than the copy above
+        # one |V|^2 temporary
         if not np.array_equal(a, a.T):
             raise ValueError("adjacency must be symmetric")
         if a.diagonal().any():
             raise ValueError("self-loops are not allowed")
         _check_distinct(keys)
-        self._init(keys, a, None, modulus)
+        self._init(keys, np.packbits(a, axis=1), modulus)
 
     @classmethod
-    def _from_keys(cls, keys: np.ndarray, adj: np.ndarray | None = None,
-                   modulus: int | None = None, *,
-                   rows: np.ndarray | None = None) -> "LabeledGraph":
-        """A graph that takes `keys` and exactly one of `adj` and `rows` as
-        its own without the copies and checks `__init__` makes; nothing is
-        checked.
+    def _from_keys(cls, keys: np.ndarray, rows: np.ndarray,
+                   modulus: int | None = None) -> "LabeledGraph":
+        """A graph that takes `keys` and `rows` as its own without the checks
+        `__init__` makes; nothing is checked.
 
         The caller hands in an (|V|, 2) int key array whose rows are (k, k)
-        or (a, b) with a < b, pairwise distinct, and a fresh array that
-        nothing else holds: either a |V|-square bool matrix `adj`, symmetric
-        with a clear diagonal, or a C-contiguous uint8 array `rows` of shape
-        (|V|, ceil(|V| / 8)) that is exactly `np.packbits` of such a matrix
-        along axis 1: every padding bit past |V| zero and every diagonal bit
-        clear. `_residue_graphs` builds rows so; `line_graph`, `total_graph`
-        and `family_graphs`' copy of the line graph build a dense matrix.
-        `serialize._graph` checks distinctness itself, takes its rows from
-        `_rendered_keys` or `parse_label`, which both check a < b, and sets
-        both halves of each edge it has checked to satisfy
-        0 <= i < j < |V|."""
+        or (a, b) with a < b, pairwise distinct, and a fresh C-contiguous
+        uint8 array `rows` of shape (|V|, ceil(|V| / 8)) that nothing else
+        holds and that is exactly `np.packbits` along axis 1 of a symmetric
+        |V|-square bool matrix with a clear diagonal: every padding bit past
+        |V| zero and every diagonal bit clear. `_residue_graphs` and
+        `_edge_graphs` build rows so. `serialize._graph` checks distinctness
+        itself, takes its keys from `_rendered_keys` or `parse_label`, which
+        both check a < b, and packs a matrix in which it sets both halves of
+        each edge it has checked to satisfy 0 <= i < j < |V|."""
         g = cls.__new__(cls)
-        g._init(keys, adj, rows, modulus)
+        g._init(keys, rows, modulus)
         return g
 
-    def _init(self, keys: np.ndarray, a: np.ndarray | None, rows: np.ndarray | None,
-              modulus: int | None) -> None:
-        for arr in (keys, a, rows):
-            if arr is not None:
-                arr.setflags(write=False)
+    def _init(self, keys: np.ndarray, rows: np.ndarray, modulus: int | None) -> None:
+        keys.setflags(write=False)
+        rows.setflags(write=False)
         self._keys = keys
-        self._adj = a
+        self._adj: np.ndarray | None = None
         self._rows = rows
         self.modulus = modulus
         self._deg: np.ndarray | None = None
@@ -136,7 +130,7 @@ class LabeledGraph:
     @property
     def adj(self) -> np.ndarray:
         """The read-only |V|-square bool adjacency; unpacked from the rows on
-        first read when the graph was built from rows."""
+        first read."""
         if self._adj is None:
             # a bool view of a fresh uint8 matrix: no view into the rows
             a = np.unpackbits(self._rows, axis=1, count=self.n_vertices).view(bool)
@@ -146,23 +140,15 @@ class LabeledGraph:
 
     def rows(self) -> np.ndarray:
         """The read-only adjacency rows packed to bytes, (|V|, ceil(|V| / 8))
-        uint8: vertex u is bit 128 >> u % 8 of byte u // 8, padding bits zero.
-        Packed from `adj` on first use when the graph was built dense."""
-        if self._rows is None:
-            r = np.packbits(self._adj, axis=1)
-            r.setflags(write=False)
-            self._rows = r
+        uint8: vertex u is bit 128 >> u % 8 of byte u // 8, padding bits zero."""
         return self._rows
 
     def degrees(self) -> np.ndarray:
         """The read-only int64 degrees by vertex id; counted on first use
         only, by popcount over the rows."""
         if self._deg is None:
-            # packing and counting a dense graph's rows took half the time of
-            # summing its bools on 700-2400 vertices (2-core Xeon), and the
-            # rows are kept for the checker. int32 row sums run about twice
-            # as fast as int64 ones; |V| fits
-            deg = np.bitwise_count(self.rows()).sum(axis=1, dtype=np.int32).astype(np.int64)
+            # int32 row sums run about twice as fast as int64 ones; |V| fits
+            deg = np.bitwise_count(self._rows).sum(axis=1, dtype=np.int32).astype(np.int64)
             deg.setflags(write=False)
             self._deg = deg
         return self._deg
@@ -310,8 +296,7 @@ def _residue_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily
         if (kept & self_adjacent).any():
             v = self_adjacent[c].nonzero()[0]
             rows[v, v >> 3] &= _CLEAR_BIT[v & 7]
-        out[f] = LabeledGraph._from_keys((vs + 1).repeat(2).reshape(-1, 2), rows=rows,
-                                         modulus=n)
+        out[f] = LabeledGraph._from_keys((vs + 1).repeat(2).reshape(-1, 2), rows, n)
     return out
 
 
@@ -330,77 +315,83 @@ def non_nilradical_graph(n: int) -> LabeledGraph:
     return _residue_graphs(n, (GraphFamily.OMEGA,))[GraphFamily.OMEGA]
 
 
-def _edge_vertices(g: LabeledGraph, op: str,
-                   lead: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The keys of g's edges as EdgePair labels, in edge order; g's |V| x |E|
-    incidence matrix; and a fresh (lead + |E|)-square bool matrix whose last
-    |E| rows and columns hold g's line-graph adjacency, in which two edges
-    are adjacent iff they share an endpoint. Its first `lead` rows and
-    columns are left for the caller to fill. `op` names the caller when g is
-    not residue-labeled."""
+def _edge_graphs(g: LabeledGraph, families: set[GraphFamily],
+                 op: str = "family_graphs") -> dict[GraphFamily, LabeledGraph]:
+    """g's line graph, in which two edges are adjacent iff they share an
+    endpoint, and its total graph, the one or both of them `families` asks
+    for, keyed by family; `op` names the caller when g is not
+    residue-labeled. Both are built as rows from one walk of g's edges
+    (`edge_ends`). Vertex u's incident edges are packed once as the bits
+    lead + e of a row, lead being 0 in the line graph and |V| in the total
+    graph. An edge's row is the XOR of its ends' rows, gathered a block of at
+    most _GATHER_BYTES at a time, with its ends' bits set in the total graph.
+    The total graph's residue rows are the incidence rows OR-ed with g's
+    rows, so g is never unpacked."""
     keys = g.keys()
     if (keys[:, 0] != keys[:, 1]).any():
         raise DomainError(f"{op} expects a residue-labeled graph, found EdgePair")
+    nv = g.n_vertices
     iu, iv = g.edge_ends()
     ku, kv = keys[iu, 0], keys[iv, 0]
     edge_keys = np.stack([np.minimum(ku, kv), np.maximum(ku, kv)], axis=1)
     ne = iu.size
-    inc = np.zeros((g.n_vertices, ne), dtype=bool)
-    es = np.arange(ne)
-    inc[iu, es] = inc[iv, es] = True
-    adj = np.empty((lead + ne, lead + ne), dtype=bool)
-    # row e of inc[iu] marks the edges at e's first end; OR in those at its
-    # second end, and e itself, which is at both, is no neighbour; a block of
-    # rows at a time, so no temporary outgrows _GATHER_BYTES
-    rows = max(1, _GATHER_BYTES // max(1, ne))
-    for a in range(0, ne, rows):
-        e = es[a:a + rows]
-        blk = adj[lead + a:lead + a + e.size, lead:]
-        blk[...] = inc[iu[e]]
-        blk |= inc[iv[e]]
-        blk[e - a, e] = False
-    return edge_keys, inc, adj
+    out = {}
+    for family, lead in ((GraphFamily.LINE_OF_GAMMA, 0), (GraphFamily.TOTAL_OF_GAMMA, nv)):
+        if family not in families:
+            continue
+        w = (lead + ne + 7) >> 3
+        # every byte is written below; the rows, the largest array, come
+        # first, so a graph too large for memory fails before any work
+        rows = np.empty((lead + ne, w), dtype=np.uint8)
+        # the total graph's residue rows hold the incidence until g's rows
+        # are OR-ed in, last
+        inc = rows[:nv] if lead else np.empty((nv, w), dtype=np.uint8)
+        inc[...] = 0
+        col = lead + np.arange(ne)
+        byte, bit = col >> 3, _BIT[col & 7]
+        # an end's edges can share a byte, so the bits are OR-ed unbuffered
+        np.bitwise_or.at(inc, (iu, byte), bit)
+        np.bitwise_or.at(inc, (iv, byte), bit)
+        # two edges of a simple graph share at most one end, so the XOR of
+        # an edge's two ends' rows holds every edge adjacent to it, and not
+        # itself, the one edge at both
+        step = max(1, _GATHER_BYTES // max(1, w))
+        for a in range(0, ne, step):
+            np.bitwise_xor(inc[iu[a:a + step]], inc[iv[a:a + step]],
+                           out=rows[lead + a:lead + a + step])
+        if lead:
+            for end in (iu, iv):
+                rows[col, end >> 3] |= _BIT[end & 7]
+            inc[:, :g.rows().shape[1]] |= g.rows()
+        out[family] = LabeledGraph._from_keys(np.concatenate([keys[:lead], edge_keys]), rows,
+                                              g.modulus)
+    return out
 
 
 def line_graph(g: LabeledGraph) -> LabeledGraph:
     """One vertex per edge of g; adjacency iff the edges share an endpoint."""
-    edge_keys, _, adj = _edge_vertices(g, "line_graph")
-    return LabeledGraph._from_keys(edge_keys, adj, modulus=g.modulus)
+    return _edge_graphs(g, {GraphFamily.LINE_OF_GAMMA}, "line_graph")[GraphFamily.LINE_OF_GAMMA]
 
 
 def total_graph(g: LabeledGraph) -> LabeledGraph:
     """Vertices of g plus edges of g; all vertex-vertex, edge-edge, vertex-edge adjacencies."""
-    nv = g.n_vertices
-    edge_keys, inc, adj = _edge_vertices(g, "total_graph", lead=nv)
-    adj[:nv, :nv] = g.adj
-    adj[:nv, nv:] = inc
-    adj[nv:, :nv] = inc.T
-    return LabeledGraph._from_keys(np.concatenate([g.keys(), edge_keys]), adj,
-                                   modulus=g.modulus)
+    return _edge_graphs(g, {GraphFamily.TOTAL_OF_GAMMA},
+                        "total_graph")[GraphFamily.TOTAL_OF_GAMMA]
 
 
 def family_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily, LabeledGraph]:
     """`build_family(n, f)` for every f in `families`, keyed by f, with the
     work shared between them. Gamma, the nilradical and the omega graph come
     from one `_residue_graphs` call, gamma built once when any of gamma,
-    line-of-gamma and total-of-gamma is asked for. When both are asked for,
-    the line graph is a copy of the total graph's edge-edge block."""
+    line-of-gamma and total-of-gamma is asked for; the line and total graphs
+    come from one walk of gamma's edges."""
     fams = {GraphFamily(f) for f in families}
     F = GraphFamily
-    need_gamma = bool({F.GAMMA, F.LINE_OF_GAMMA, F.TOTAL_OF_GAMMA} & fams)
-    out = _residue_graphs(n, [f for f in _KEEP if f in fams
-                              or (f is F.GAMMA and need_gamma)])
-    if not need_gamma:
-        return out
-    g = out[F.GAMMA] if F.GAMMA in fams else out.pop(F.GAMMA)
-    if F.TOTAL_OF_GAMMA in fams:
-        t = out[F.TOTAL_OF_GAMMA] = total_graph(g)
-        if F.LINE_OF_GAMMA in fams:
-            nv = g.n_vertices
-            out[F.LINE_OF_GAMMA] = LabeledGraph._from_keys(
-                t.keys()[nv:].copy(), t.adj[nv:, nv:].copy(), modulus=n)
-    elif F.LINE_OF_GAMMA in fams:
-        out[F.LINE_OF_GAMMA] = line_graph(g)
+    edge_fams = {F.LINE_OF_GAMMA, F.TOTAL_OF_GAMMA} & fams
+    out = _residue_graphs(n, [f for f in _KEEP if f in fams or (f is F.GAMMA and edge_fams)])
+    if edge_fams:
+        g = out[F.GAMMA] if F.GAMMA in fams else out.pop(F.GAMMA)
+        out.update(_edge_graphs(g, edge_fams))
     return out
 
 

@@ -1,5 +1,5 @@
 """Ground truth for very-cost-effective existence: exhaustive enumeration,
-the exact search over twin classes and the chain of the two, the witnesses
+the exact search over twin classes and the choice between the two, the witnesses
 that none exists, and a greedy local-search heuristic."""
 from __future__ import annotations
 
@@ -481,10 +481,10 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     space = prod(radix.tolist())
     if space > max_vectors:
         return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
-                             reason=f"{size.size} twin classes span {space} B-count vectors, "
-                                    f"over the budget of {max_vectors}")
+                             reason=f"{size.size} twin classes span {_decimal(space)} "
+                                    f"B-count vectors, over the budget of {_decimal(max_vectors)}")
     if space > 1 << _MAX_FREE:
-        raise DomainError(f"class search needs an int64 index per vector; {space} "
+        raise DomainError(f"class search needs an int64 index per vector; {_decimal(space)} "
                           f"vectors exceeds the limit of 2^{_MAX_FREE}")
     # classes are complete or empty to each other, so one member's row speaks
     # for its class; only the members' rows are unpacked
@@ -498,15 +498,22 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     return SearchOutcome(SearchStatus.FOUND, _expand(cls, b), index + 1, perf_counter() - t0)
 
 
+def _decimal(x: int) -> str:
+    """x in decimal, or as a power-of-two bound past Python's int-to-str limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"at least 2^{x.bit_length() - 1}"
+
+
 def exact_search(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
     """The fallback of `dispatch` and `znvce search`: `brute_force` within
-    `vertex_cap` vertices (an isolated vertex is answered before its scan),
-    and past the cap `class_search` with the budget `brute_force` has at the
-    cap, its 2^(vertex_cap - 1) masks (0 for a cap below one)."""
-    out = brute_force(g, vertex_cap)
-    if out.status is SearchStatus.INCONCLUSIVE:
-        out = class_search(g, 1 << (vertex_cap - 1) if vertex_cap > 0 else 0)
-    return out
+    `vertex_cap` vertices, and past the cap `class_search` with the budget
+    `brute_force` has at the cap, its 2^(vertex_cap - 1) masks (0 for a cap
+    below one). Either answers an isolated vertex before its scan."""
+    if g.n_vertices <= vertex_cap:
+        return brute_force(g, vertex_cap)
+    return class_search(g, 1 << (vertex_cap - 1) if vertex_cap > 0 else 0)
 
 
 def _first_vce(m: np.ndarray, size: np.ndarray, clique: np.ndarray,

@@ -126,7 +126,7 @@ def _graph(keys: np.ndarray, ends: np.ndarray, modulus) -> LabeledGraph:
     adj = np.zeros((nv, nv), dtype=bool)
     adj[ends[:, 0], ends[:, 1]] = True
     adj[ends[:, 1], ends[:, 0]] = True
-    return LabeledGraph._from_keys(keys, adj, modulus=modulus)
+    return LabeledGraph._from_keys(keys, np.packbits(adj, axis=1), modulus)
 
 
 _EDGES_KEY = ', "edges": '

@@ -1,5 +1,7 @@
 """The twin-class quotient: twin_classes and the exact class_search."""
+import re
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -222,6 +224,27 @@ class TestClassSearch:
                               f"over the budget of {1 << 69}")
         with pytest.raises(DomainError, match="exceeds the limit of 2\\^62"):
             class_search(g, 1 << 70)
+
+    def test_a_space_past_the_int_to_str_limit_still_has_a_reason(self):
+        # line-of-gamma(2160): 15 331 vertices in so many twin classes that
+        # the space has more decimal digits than Python converts; the reason
+        # gives it as a power-of-two bound, and so does the error for a
+        # budget as large
+        g = build_family(2160, GraphFamily.LINE_OF_GAMMA)
+        cls, clique = twin_classes(g)
+        space = prod(np.where(clique, np.bincount(cls) + 1, 2).tolist())
+        assert space > 10 ** 4300
+        bound = f"at least 2^{space.bit_length() - 1}"
+        out = class_search(g, 1 << 25)
+        assert out.status is SearchStatus.INCONCLUSIVE and out.partitions_examined == 0
+        assert out.reason == (f"{clique.size} twin classes span {bound} B-count vectors, "
+                              "over the budget of 33554432")
+        b = space.bit_length() - 2
+        out = class_search(g, 1 << b)
+        assert out.reason.endswith(f"span {bound} B-count vectors, over the budget of "
+                                   f"at least 2^{b}")
+        with pytest.raises(DomainError, match=re.escape(f"; {bound} vectors exceeds the limit")):
+            class_search(g, space)
 
     def test_budget_is_inclusive(self):
         g = gamma(64)  # 120 vectors

@@ -479,18 +479,17 @@ def test_dispatch_never_unpacks_a_residue_graph(n, family, kind):
     assert cert.graph._adj is None
 
 
-@pytest.mark.parametrize("n, family, searches", [
-    (12, GraphFamily.OMEGA, 1),            # isolated vertex 2
-    (4, GraphFamily.GAMMA, 1),             # one vertex
-    (16, GraphFamily.GAMMA, 1),            # exhausted scan
-    (48, GraphFamily.GAMMA, 2),            # past the cap: found by the class search
-    (64, GraphFamily.NILRADICAL, 2),       # past the cap: class space exhausted
-    (36, GraphFamily.TOTAL_OF_GAMMA, 2),   # past the cap: over the class budget
+@pytest.mark.parametrize("n, family", [
+    (12, GraphFamily.OMEGA),            # isolated vertex 2
+    (4, GraphFamily.GAMMA),             # one vertex
+    (16, GraphFamily.GAMMA),            # exhausted scan
+    (48, GraphFamily.GAMMA),            # past the cap: found by the class search
+    (64, GraphFamily.NILRADICAL),       # past the cap: class space exhausted
+    (36, GraphFamily.TOTAL_OF_GAMMA),   # past the cap: over the class budget
 ])
-def test_dispatch_asks_for_isolated_vertices_only_through_the_search(monkeypatch, n, family,
-                                                                     searches):
-    # dispatch makes no isolated_obstruction call of its own: one per search
-    # that runs, as exact_search makes on the same graph
+def test_dispatch_asks_for_isolated_vertices_only_through_the_search(monkeypatch, n, family):
+    # dispatch makes no isolated_obstruction call of its own: exact_search
+    # runs one search on the graph, which makes the one call
     calls = []
 
     def spy(g):
@@ -500,7 +499,7 @@ def test_dispatch_asks_for_isolated_vertices_only_through_the_search(monkeypatch
     cert = dispatch(n, family)
     by_dispatch, calls[:] = calls[:], []
     out = exact_search(build_family(n, family))
-    assert by_dispatch == calls and len(calls) == searches
+    assert by_dispatch == calls and len(calls) == 1
     assert not hasattr(constructions, "isolated_obstruction")
     if isinstance(cert, NotVce):
         assert cert.witness == out.witness

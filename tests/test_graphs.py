@@ -114,8 +114,9 @@ def test_row_built_adjacency_is_frozen_kept_and_its_own():
     assert a.flags.c_contiguous and not np.may_share_memory(a, g.rows())
     with pytest.raises(ValueError):
         g.rows()[0, 0] = 0
-    # a dense-built graph packs its rows once, and keeps them
+    # a graph handed a dense matrix packs it once and keeps only the rows
     d = LabeledGraph(g.labels, g.adj)
+    assert d._adj is None
     r = d.rows()
     assert r is d.rows() and not r.flags.writeable
     assert np.array_equal(r, g.rows()) and not np.may_share_memory(r, d.adj)
@@ -135,14 +136,13 @@ def test_row_and_dense_builds_are_equal(n):
 
 
 def test_degrees_are_row_sums_on_every_family():
-    # a residue graph counts its degrees from the rows without unpacking adj
+    # every graph counts its degrees from the rows without unpacking adj
     for n in range(2, 201):
         for family, g in family_graphs(n, GraphFamily).items():
             fresh = build_family(n, family)
             deg = fresh.degrees()
             assert deg.dtype == np.int64 and not deg.flags.writeable
-            if family in (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA):
-                assert fresh._adj is None, (n, family)
+            assert fresh._adj is None, (n, family)
             assert deg.tolist() == g.adj.sum(axis=1).tolist(), (n, family)
             assert fresh.n_edges() == int(g.adj.sum()) // 2, (n, family)
 
@@ -158,14 +158,13 @@ def _assert_same_edges(g, what):
 
 
 def test_edge_ends_are_the_upper_triangle_on_every_family():
-    # read from the rows: a residue graph is never unpacked for its edges
+    # read from the rows: no graph is unpacked for its edges
     tails = set()
     for n in range(2, 201):
         for family, g in family_graphs(n, GraphFamily).items():
             fresh = build_family(n, family)
             iu, iv = fresh.edge_ends()
-            if family in (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA):
-                assert fresh._adj is None, (n, family)
+            assert fresh._adj is None, (n, family)
             _assert_same_edges(g, (n, family))
             assert fresh.edges() == list(zip(iu.tolist(), iv.tolist())), (n, family)
             tails.add(g.n_vertices % 8)
@@ -330,12 +329,14 @@ def test_caller_adjacency_is_copied():
 
 
 def test_adopted_arrays_are_kept_and_caller_labels_are_checked():
-    # the key constructor adopts its keys and adjacency without a copy or a
+    # the key constructor adopts its keys and rows without a copy or a
     # check; its callers build both right. Labels a caller hands in are
     # checked for repeats
-    keys, a = np.array([[1, 1], [1, 2]]), np.array([[False, True], [True, False]])
-    g = LabeledGraph._from_keys(keys, a)
-    assert g.keys() is keys and g.adj is a and not (keys.flags.writeable or a.flags.writeable)
+    keys, rows = np.array([[1, 1], [1, 2]]), np.array([[0b01000000], [0b10000000]], np.uint8)
+    g = LabeledGraph._from_keys(keys, rows)
+    assert g.keys() is keys and g.rows() is rows
+    assert not (keys.flags.writeable or rows.flags.writeable)
+    assert g._adj is None and g.adj.tolist() == [[False, True], [True, False]]
     assert g.labels == (Residue(1), EdgePair(1, 2))
     repeated = [
         [Residue(1), Residue(1)],
@@ -383,7 +384,7 @@ def test_residue_and_pair_keys_never_collide():
     assert (ks[:len(residues), 0] == ks[:len(residues), 1]).all()
     assert (ks[len(residues):, 0] < ks[len(residues):, 1]).all()
     assert len({tuple(k) for k in ks.tolist()}) == len(labels)
-    rebuilt = LabeledGraph._from_keys(ks.copy(), g.adj.copy())
+    rebuilt = LabeledGraph._from_keys(ks.copy(), g.rows().copy())
     assert rebuilt.labels == tuple(labels)
     assert [rebuilt.label(v) for v in range(len(labels))] == labels
 
@@ -392,7 +393,7 @@ def test_residues_past_int64_keep_their_labels():
     big = [Residue(10**30), Residue(-10**30), Residue(3)]
     g = LabeledGraph(big, np.zeros((3, 3), dtype=bool))
     assert g.labels == tuple(big) and g.names() == (str(10**30), str(-10**30), "3")
-    assert LabeledGraph._from_keys(g.keys().copy(), g.adj.copy()).labels == tuple(big)
+    assert LabeledGraph._from_keys(g.keys().copy(), g.rows().copy()).labels == tuple(big)
     with pytest.raises(ValueError):
         LabeledGraph(big + [Residue(10**30)], np.zeros((4, 4), dtype=bool))
 
@@ -415,41 +416,36 @@ def test_object_constructor_rebuilds_every_family_graph():
             assert [g.id_of(lab) for lab in r.labels] == ids
 
 
-def test_line_graph_memory_stays_near_two_edge_squared_bools():
-    # the shared-endpoint adjacency is an OR of two incidence gathers, |E|^2
-    # bools each; a float32 or wider integer |E| x |E| product would pass 4|E|^2
+@pytest.mark.parametrize("build", [line_graph, total_graph])
+def test_line_and_total_graph_memory_stays_near_their_rows(build):
+    # built straight into |V|^2 / 8 bytes of rows, with the incidence packed
+    # and the edge rows gathered a bounded block at a time; a dense |V|^2
+    # bool matrix alone would pass the bound
     g = gamma(1500)
-    ne = g.n_edges()
     tracemalloc.start()
     try:
-        lg = line_graph(g)
+        h = build(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lg.n_vertices == ne
-    assert peak < 3 * ne * ne
+    assert h.n_vertices == g.n_edges() + (build is total_graph) * g.n_vertices
+    assert peak < 0.4 * h.n_vertices ** 2
 
 
-def test_total_graph_memory_stays_near_one_adjacency():
-    # the blocks are written into one preallocated (|V|+|E|)^2 matrix, a
-    # bounded block of rows at a time; assembling them with np.block after
-    # building the |E| x |E| block on its own peaks near 1.9 (|V|+|E|)^2
-    g = gamma(600)
-    tracemalloc.start()
-    try:
-        t = total_graph(g)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert t.n_vertices == g.n_vertices + g.n_edges()
-    assert peak < 1.4 * t.n_vertices ** 2
+@pytest.mark.parametrize("n", [4, 10, 36, 600])
+def test_line_and_total_graphs_never_unpack_gamma(n):
+    # the total graph ORs gamma's rows into its own; neither transform reads
+    # gamma's dense adjacency or unpacks its own
+    g = gamma(n)
+    built = [line_graph(g), total_graph(g)]
+    assert g._adj is None and all(h._adj is None for h in built)
 
 
-@pytest.mark.parametrize("gather_bytes", [graphs._GATHER_BYTES, 200])
+@pytest.mark.parametrize("gather_bytes", [graphs._GATHER_BYTES, 16, 1])
 def test_line_and_total_graphs_match_the_block_definition(monkeypatch, gather_bytes):
     # incidence from the edge list, shared endpoints from its product, and
     # the total graph as np.block of the four, for every n in 2..120; with
-    # 200 bytes the shared block is gathered in blocks of one to a few rows
+    # 16 bytes the edge rows are gathered a few at a time, with 1 one by one
     monkeypatch.setattr(graphs, "_GATHER_BYTES", gather_bytes)
     for n in range(2, 121):
         g = gamma(n)
@@ -527,31 +523,29 @@ def test_build_family_matches_direct_builders():
             assert _same_graph(build_family(n, family.value), _DIRECT[family](n)), (n, family)
 
 
-_ROW_BUILT = {GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA}
-
-
 def test_family_graphs_match_the_direct_builders():
-    # the three residue graphs built from one shared sieve, and the line
-    # graph copied out of the total graph, against each family built on its own
+    # the three residue graphs built from one shared sieve, and the line and
+    # total graphs from one walk of gamma's edges, against each family built
+    # on its own
     for n in range(2, 301):
         built = family_graphs(n, GraphFamily)
         assert set(built) == set(GraphFamily)
         for family, g in built.items():
+            # every graph is built as rows that it owns, and unpacks them into
+            # a uint8 buffer of its own, viewed as bool, that holds the
+            # adjacency and nothing more
+            r = g.rows()
+            assert r.flags.owndata and r.flags.c_contiguous and not r.flags.writeable
+            assert g._adj is None, (n, family)
             assert _same_graph(g, _DIRECT[family](n)), (n, family)
             a = g.adj
             assert a.dtype == bool and not a.flags.writeable, (n, family)
             assert a.flags.c_contiguous, (n, family)
-            # a graph built dense owns its adjacency; one built from rows
-            # unpacks into a uint8 buffer of its own, viewed as bool, that
-            # holds the adjacency and nothing more
-            own = a.base if family in _ROW_BUILT else a
-            assert own.flags.owndata and own.base is None, (n, family)
-            assert own.nbytes == a.nbytes, (n, family)
-            assert g.rows().flags.owndata, (n, family)
+            assert a.base.flags.owndata and a.base.base is None, (n, family)
+            assert a.base.nbytes == a.nbytes, (n, family)
         # _from_keys takes arrays that nothing else holds, and an unpacked
         # adjacency gets a buffer of its own, so no graph's adjacency or rows
-        # overlap another's (the line graph's are no view into the total
-        # graph's), nor a graph's adjacency its own rows
+        # overlap another's, nor a graph's adjacency its own rows
         arrays = [x for g in built.values() for x in (g.adj, g.rows())]
         for i, x in enumerate(arrays):
             assert not any(np.may_share_memory(x, y) for y in arrays[i + 1:]), n
@@ -584,16 +578,17 @@ def test_family_subsets_build_only_what_they_need(monkeypatch, subset, absent):
             assert _same_graph(g, full[n][family]), (n, family)
 
 
-def test_family_graphs_memory_stays_under_two_total_adjacencies():
-    # the total graph's matrix and the line graph's copy of its edge block
-    # are both held, (|V| + |E|)^2 + |E|^2 bools; about 1.8 (|V| + |E|)^2 at n = 600
+def test_family_graphs_memory_stays_under_half_a_total_adjacency():
+    # every graph is held as rows, the total graph's (|V| + |E|)^2 / 8 bytes
+    # and the line graph's |E|^2 / 8 the largest; about 0.3 (|V| + |E|)^2
+    # at n = 600, where a dense total graph alone would take 1
     tracemalloc.start()
     try:
         built = family_graphs(600, GraphFamily)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * built[GraphFamily.TOTAL_OF_GAMMA].n_vertices ** 2
+    assert peak < 0.5 * built[GraphFamily.TOTAL_OF_GAMMA].n_vertices ** 2
 
 
 def test_unknown_family_name_is_rejected():

@@ -358,17 +358,18 @@ class TestWitness:
 
 
 class TestExactSearch:
-    """brute_force within the cap, then class_search with 2^(cap - 1) vectors."""
+    """brute_force within the cap, class_search with 2^(cap - 1) vectors
+    past it: one search per graph, chosen by its vertex count."""
 
-    @pytest.mark.parametrize("n, cap, first, then", [
-        (16, 26, "NoneExists", None),
-        (30, 26, "Found", None),
-        (48, 26, "Inconclusive", "Found"),
-        (64, 26, "Inconclusive", "NoneExists"),
-        (100, 10, "Inconclusive", "Inconclusive"),
-        (100, 0, "Inconclusive", "Inconclusive"),
+    @pytest.mark.parametrize("n, cap, search_name, status", [
+        (16, 26, "brute_force", "NoneExists"),
+        (30, 26, "brute_force", "Found"),
+        (48, 26, "class_search", "Found"),
+        (64, 26, "class_search", "NoneExists"),
+        (100, 10, "class_search", "Inconclusive"),
+        (100, 0, "class_search", "Inconclusive"),
     ])
-    def test_chain(self, monkeypatch, n, cap, first, then):
+    def test_chain(self, monkeypatch, n, cap, search_name, status):
         calls = []
         for name in ("brute_force", "class_search"):
             def spy(g, limit, real=getattr(search, name), name=name):
@@ -377,13 +378,9 @@ class TestExactSearch:
                 return out
             monkeypatch.setattr(search, name, spy)
         out = exact_search(gamma(n), cap)
-        assert calls[0] == ("brute_force", cap, first)
-        if then is None:
-            assert len(calls) == 1
-        else:
-            budget = 1 << (cap - 1) if cap > 0 else 0
-            assert calls[1:] == [("class_search", budget, then)]
-        assert out.status.value == calls[-1][2]
+        limit = cap if search_name == "brute_force" else 1 << (cap - 1) if cap > 0 else 0
+        assert calls == [(search_name, limit, status)]
+        assert out.status.value == status
 
 
 class TestRefuter:
