@@ -57,11 +57,14 @@ class LabeledGraph:
     row (a, b), a < b, so the two kinds never share a key. The label objects
     are built from the keys on first use.
     `modulus` records the n the graph derives from and survives the
-    line/total transforms. Degrees are counted on first use.
+    line/total transforms. A built graph keeps what `vce._inside_counts`
+    and `degrees()` count from in place of the rows: a residue graph its
+    divisor-class table (`_classes`), a line or total graph Γ and Γ's edge
+    ends (`_base`).
     """
 
     __slots__ = ("_keys", "_adj", "_rows", "modulus", "_deg", "_labels", "_id_of",
-                 "_names")
+                 "_names", "_classes", "_base")
 
     def __init__(self, labels: Iterable[VertexLabel], adj, modulus: int | None = None):
         keys, a = _keys_of(labels), np.asarray(adj, dtype=bool)
@@ -76,28 +79,31 @@ class LabeledGraph:
         self._init(keys, np.packbits(a, axis=1), modulus)
 
     @classmethod
-    def _from_keys(cls, keys: np.ndarray, rows: np.ndarray,
-                   modulus: int | None = None) -> "LabeledGraph":
-        """A graph that takes `keys` and `rows` as its own without the checks
-        `__init__` makes; nothing is checked.
+    def _from_keys(cls, keys: np.ndarray, rows: np.ndarray | None, modulus: int | None = None,
+                   **structure) -> "LabeledGraph":
+        """A graph that takes `keys`, `rows` and `structure` as its own without
+        the checks `__init__` makes; nothing is checked.
 
         The caller hands in an (|V|, 2) int key array whose rows are (k, k)
         or (a, b) with a < b, pairwise distinct, and a fresh C-contiguous
         uint8 array `rows` of shape (|V|, ceil(|V| / 8)) that nothing else
         holds and that is exactly `np.packbits` along axis 1 of a symmetric
         |V|-square bool matrix with a clear diagonal: every padding bit past
-        |V| zero and every diagonal bit clear. `_residue_graphs` and
-        `_edge_graphs` build rows so. `serialize._graph` checks distinctness
+        |V| zero and every diagonal bit clear; or None and a `base` from which
+        `rows()` builds them so (`_edge_graphs`). `_residue_graphs` builds rows
+        so and hands in `classes`. `serialize._graph` checks distinctness
         itself, takes its keys from `_rendered_keys` or `parse_label`, which
         both check a < b, and packs a matrix in which it sets both halves of
         each edge it has checked to satisfy 0 <= i < j < |V|."""
         g = cls.__new__(cls)
-        g._init(keys, rows, modulus)
+        g._init(keys, rows, modulus, **structure)
         return g
 
-    def _init(self, keys: np.ndarray, rows: np.ndarray, modulus: int | None) -> None:
+    def _init(self, keys: np.ndarray, rows: np.ndarray | None, modulus: int | None,
+              classes: tuple | None = None, base: tuple | None = None) -> None:
         keys.setflags(write=False)
-        rows.setflags(write=False)
+        if rows is not None:
+            rows.setflags(write=False)
         self._keys = keys
         self._adj: np.ndarray | None = None
         self._rows = rows
@@ -106,6 +112,8 @@ class LabeledGraph:
         self._labels: tuple[VertexLabel, ...] | None = None
         self._id_of: dict[VertexLabel, int] | None = None
         self._names: tuple[str, ...] | None = None
+        self._classes = classes
+        self._base = base
 
     @property
     def labels(self) -> tuple[VertexLabel, ...]:
@@ -133,22 +141,39 @@ class LabeledGraph:
         first read."""
         if self._adj is None:
             # a bool view of a fresh uint8 matrix: no view into the rows
-            a = np.unpackbits(self._rows, axis=1, count=self.n_vertices).view(bool)
+            a = np.unpackbits(self.rows(), axis=1, count=self.n_vertices).view(bool)
             a.setflags(write=False)
             self._adj = a
         return self._adj
 
     def rows(self) -> np.ndarray:
         """The read-only adjacency rows packed to bytes, (|V|, ceil(|V| / 8))
-        uint8: vertex u is bit 128 >> u % 8 of byte u // 8, padding bits zero."""
+        uint8: vertex u is bit 128 >> u % 8 of byte u // 8, padding bits zero.
+        A line or total graph builds them from Γ on first use only."""
+        if self._rows is None:
+            g, iu, iv = self._base
+            self._rows = _edge_rows(g, iu, iv, self.n_vertices - iu.size)
+            self._rows.setflags(write=False)
         return self._rows
 
     def degrees(self) -> np.ndarray:
-        """The read-only int64 degrees by vertex id; counted on first use
-        only, by popcount over the rows."""
+        """The read-only int64 degrees by vertex id, counted on first use
+        only: from the class table or from Γ's degrees when the graph keeps
+        them, else by popcount over the rows."""
         if self._deg is None:
-            # int32 row sums run about twice as fast as int64 ones; |V| fits
-            deg = np.bitwise_count(self._rows).sum(axis=1, dtype=np.int32).astype(np.int64)
+            if self._classes is not None:
+                # a class row less a self-adjacent vertex's own bit
+                c, class_rows, loop = self._classes
+                deg = _row_popcounts(class_rows)[c] - loop[c]
+            elif self._base is not None:
+                # an edge uv meets deg u + deg v - 2 edges, and in the total
+                # graph its two ends; a residue u its deg u neighbours and edges
+                g, iu, iv = self._base
+                d = g.degrees()
+                ends = d[iu] + d[iv]
+                deg = np.concatenate([2 * d, ends]) if self.n_vertices > iu.size else ends - 2
+            else:
+                deg = _row_popcounts(self.rows())
             deg.setflags(write=False)
             self._deg = deg
         return self._deg
@@ -215,6 +240,14 @@ class LabeledGraph:
         return f"LabeledGraph(|V|={self.n_vertices}, |E|={self.n_edges()}, modulus={self.modulus})"
 
 
+def _row_popcounts(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Each row's set bits of packed uint8 `rows` as int64, popcounted into
+    `out` when given. A row under 2^13 bytes holds under 2^16 bits, so uint16
+    sums it exactly, about 1.7x as fast as int32, which holds any row."""
+    dtype = np.uint16 if rows.shape[1] < 1 << 13 else np.int32
+    return np.bitwise_count(rows, out=out).sum(axis=1, dtype=dtype).astype(np.int64)
+
+
 def _label(a: int, b: int) -> VertexLabel:
     return Residue(a) if a == b else EdgePair(a, b)
 
@@ -272,7 +305,9 @@ def _residue_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily
     divisor classes, the compressed zero-divisor graph. The sieve, the
     classes and the table are shared by every graph asked for, and each is
     built as rows: the table's columns gathered by class and packed once,
-    its rows gathered by class, and the diagonal bits cleared."""
+    its rows gathered by class, and the diagonal bits cleared. Each graph
+    keeps its class table as `_classes`: every vertex's class id, the packed
+    class rows and the self-adjacent flags, by class."""
     gcds = gcd_sieve(n)[1:]
     # every proper divisor d of n is gcd(d, n), so these are all the classes.
     # Array methods here, not np.flatnonzero and the like: their wrappers
@@ -292,11 +327,13 @@ def _residue_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily
         # is a class-c vertex's row: gather rows. `take` keeps the gathered
         # columns C-ordered, which packs 3-4x as fast as a fancy-indexed
         # column gather
-        rows = np.packbits(table.take(c, axis=1), axis=1).take(c, axis=0)
+        class_rows = np.packbits(table.take(c, axis=1), axis=1)
+        rows = class_rows.take(c, axis=0)
         if (kept & self_adjacent).any():
             v = self_adjacent[c].nonzero()[0]
             rows[v, v >> 3] &= _CLEAR_BIT[v & 7]
-        out[f] = LabeledGraph._from_keys((vs + 1).repeat(2).reshape(-1, 2), rows, n)
+        out[f] = LabeledGraph._from_keys((vs + 1).repeat(2).reshape(-1, 2), rows, n,
+                                         classes=(c, class_rows, self_adjacent))
     return out
 
 
@@ -320,52 +357,54 @@ def _edge_graphs(g: LabeledGraph, families: set[GraphFamily],
     """g's line graph, in which two edges are adjacent iff they share an
     endpoint, and its total graph, the one or both of them `families` asks
     for, keyed by family; `op` names the caller when g is not
-    residue-labeled. Both are built as rows from one walk of g's edges
-    (`edge_ends`). Vertex u's incident edges are packed once as the bits
-    lead + e of a row, lead being 0 in the line graph and |V| in the total
-    graph. An edge's row is the XOR of its ends' rows, gathered a block of at
-    most _GATHER_BYTES at a time, with its ends' bits set in the total graph.
-    The total graph's residue rows are the incidence rows OR-ed with g's
-    rows, so g is never unpacked."""
+    residue-labeled. Both keep g and its edge ends (`edge_ends`) as `_base`,
+    and count their degrees from g's and build their rows (`_edge_rows`)
+    from them on first use."""
     keys = g.keys()
     if (keys[:, 0] != keys[:, 1]).any():
         raise DomainError(f"{op} expects a residue-labeled graph, found EdgePair")
-    nv = g.n_vertices
     iu, iv = g.edge_ends()
     ku, kv = keys[iu, 0], keys[iv, 0]
     edge_keys = np.stack([np.minimum(ku, kv), np.maximum(ku, kv)], axis=1)
-    ne = iu.size
-    out = {}
-    for family, lead in ((GraphFamily.LINE_OF_GAMMA, 0), (GraphFamily.TOTAL_OF_GAMMA, nv)):
-        if family not in families:
-            continue
-        w = (lead + ne + 7) >> 3
-        # every byte is written below; the rows, the largest array, come
-        # first, so a graph too large for memory fails before any work
-        rows = np.empty((lead + ne, w), dtype=np.uint8)
-        # the total graph's residue rows hold the incidence until g's rows
-        # are OR-ed in, last
-        inc = rows[:nv] if lead else np.empty((nv, w), dtype=np.uint8)
-        inc[...] = 0
-        col = lead + np.arange(ne)
-        byte, bit = col >> 3, _BIT[col & 7]
-        # an end's edges can share a byte, so the bits are OR-ed unbuffered
-        np.bitwise_or.at(inc, (iu, byte), bit)
-        np.bitwise_or.at(inc, (iv, byte), bit)
-        # two edges of a simple graph share at most one end, so the XOR of
-        # an edge's two ends' rows holds every edge adjacent to it, and not
-        # itself, the one edge at both
-        step = max(1, _GATHER_BYTES // max(1, w))
-        for a in range(0, ne, step):
-            np.bitwise_xor(inc[iu[a:a + step]], inc[iv[a:a + step]],
-                           out=rows[lead + a:lead + a + step])
-        if lead:
-            for end in (iu, iv):
-                rows[col, end >> 3] |= _BIT[end & 7]
-            inc[:, :g.rows().shape[1]] |= g.rows()
-        out[family] = LabeledGraph._from_keys(np.concatenate([keys[:lead], edge_keys]), rows,
-                                              g.modulus)
-    return out
+    return {f: LabeledGraph._from_keys(
+        edge_keys if f is GraphFamily.LINE_OF_GAMMA else np.concatenate([keys, edge_keys]),
+        None, g.modulus, base=(g, iu, iv)) for f in families}
+
+
+def _edge_rows(g: LabeledGraph, iu: np.ndarray, iv: np.ndarray, lead: int) -> np.ndarray:
+    """The rows of g's line graph (`lead` 0) or total graph (`lead` |V|),
+    whose edges have the ends `iu`, `iv`. Vertex u's incident edges are
+    packed once as the bits lead + e of a row. An edge's row is the XOR of
+    its ends' rows, gathered a block of at most _GATHER_BYTES at a time,
+    with its ends' bits set in the total graph. The total graph's residue
+    rows are the incidence rows OR-ed with g's rows, so g is never
+    unpacked."""
+    nv, ne = g.n_vertices, iu.size
+    w = (lead + ne + 7) >> 3
+    # every byte is written below; the rows, the largest array, come first,
+    # so a graph too large for memory fails before any work
+    rows = np.empty((lead + ne, w), dtype=np.uint8)
+    # the total graph's residue rows hold the incidence until g's rows are
+    # OR-ed in, last
+    inc = rows[:nv] if lead else np.empty((nv, w), dtype=np.uint8)
+    inc[...] = 0
+    col = lead + np.arange(ne)
+    byte, bit = col >> 3, _BIT[col & 7]
+    # an end's edges can share a byte, so the bits are OR-ed unbuffered
+    np.bitwise_or.at(inc, (iu, byte), bit)
+    np.bitwise_or.at(inc, (iv, byte), bit)
+    # two edges of a simple graph share at most one end, so the XOR of an
+    # edge's two ends' rows holds every edge adjacent to it, and not itself,
+    # the one edge at both
+    step = max(1, _GATHER_BYTES // max(1, w))
+    for a in range(0, ne, step):
+        np.bitwise_xor(inc[iu[a:a + step]], inc[iv[a:a + step]],
+                       out=rows[lead + a:lead + a + step])
+    if lead:
+        for end in (iu, iv):
+            rows[col, end >> 3] |= _BIT[end & 7]
+        inc[:, :g.rows().shape[1]] |= g.rows()
+    return rows
 
 
 def line_graph(g: LabeledGraph) -> LabeledGraph:

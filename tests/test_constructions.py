@@ -472,8 +472,8 @@ def test_dispatch_takes_a_prebuilt_graph(monkeypatch):
     (120, GraphFamily.GAMMA, Exists),       # past the cap: the twin-class search
 ])
 def test_dispatch_never_unpacks_a_residue_graph(n, family, kind):
-    # the counts, degrees and twin classes all come from the graph's rows,
-    # so a residue graph's dense adjacency is never built on the way
+    # the counts and degrees come from the class table and the twin classes
+    # from the rows, so a residue graph's dense adjacency is never built
     cert = dispatch(n, family)
     assert isinstance(cert, kind)
     assert cert.graph._adj is None

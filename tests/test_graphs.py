@@ -136,7 +136,8 @@ def test_row_and_dense_builds_are_equal(n):
 
 
 def test_degrees_are_row_sums_on_every_family():
-    # every graph counts its degrees from the rows without unpacking adj
+    # every built graph counts its degrees from its class table or from
+    # gamma's, and they are the adjacency's row sums; no adj is unpacked
     for n in range(2, 201):
         for family, g in family_graphs(n, GraphFamily).items():
             fresh = build_family(n, family)
@@ -418,13 +419,14 @@ def test_object_constructor_rebuilds_every_family_graph():
 
 @pytest.mark.parametrize("build", [line_graph, total_graph])
 def test_line_and_total_graph_memory_stays_near_their_rows(build):
-    # built straight into |V|^2 / 8 bytes of rows, with the incidence packed
-    # and the edge rows gathered a bounded block at a time; a dense |V|^2
-    # bool matrix alone would pass the bound
+    # built on first use straight into |V|^2 / 8 bytes of rows, with the
+    # incidence packed and the edge rows gathered a bounded block at a time;
+    # a dense |V|^2 bool matrix alone would pass the bound
     g = gamma(1500)
     tracemalloc.start()
     try:
         h = build(g)
+        h.rows()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -585,6 +587,8 @@ def test_family_graphs_memory_stays_under_half_a_total_adjacency():
     tracemalloc.start()
     try:
         built = family_graphs(600, GraphFamily)
+        for g in built.values():
+            g.rows()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

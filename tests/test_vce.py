@@ -24,6 +24,7 @@ from znvce import (
     non_nilradical_graph,
     partition_to_json,
 )
+from znvce import graphs
 from znvce.cli import cmd_check
 
 
@@ -252,32 +253,51 @@ def test_family_graphs_match_the_reference():
                 _assert_matches_the_reference(g, _random_side(g.n_vertices, n * 2 + seed))
 
 
-def test_certify_path_never_sums_degrees(monkeypatch, tmp_path):
-    # dispatch on a routed shape and cmd_check count both sides from the
-    # adjacency alone
-    def refuse(self):
-        raise AssertionError("degrees summed")
+def test_certify_path_counts_from_the_structure(monkeypatch, tmp_path):
+    # dispatch verifies a line or total graph from gamma's edges with no
+    # rows built, and a residue graph from its class rows; a graph read
+    # from a file keeps neither, and cmd_check counts its degrees in one pass
+    def refuse(*args):
+        raise AssertionError("rows built")
 
-    monkeypatch.setattr(LabeledGraph, "degrees", refuse)
-    dispatch(4641, "gamma")
-    cert = dispatch(1357, "line-of-gamma")
+    monkeypatch.setattr(graphs, "_edge_rows", refuse)
+    line = dispatch(1357, "line-of-gamma")
+    total = dispatch(1333, "total-of-gamma")
+    assert line.source and total.source and line.graph._rows is None is total.graph._rows
+    monkeypatch.setattr(LabeledGraph, "rows", refuse)
+    cert = dispatch(4641, "gamma")
+    assert is_vce(cert.graph, cert.partition)
+    assert not is_vce(cert.graph, Bipartition(np.roll(cert.partition.in_b, 1)))
+    monkeypatch.undo()
+    passes, degrees = [], LabeledGraph.degrees
+
+    def counted(self):
+        passes.append(self._deg is None)
+        return degrees(self)
+
+    monkeypatch.setattr(LabeledGraph, "degrees", counted)
     gp, pp = tmp_path / "g.json", tmp_path / "p.json"
-    gp.write_text(graph_to_json(cert.graph, GraphFamily.LINE_OF_GAMMA))
-    pp.write_text(partition_to_json(cert.graph, cert.partition))
+    gp.write_text(graph_to_json(line.graph, GraphFamily.LINE_OF_GAMMA))
+    pp.write_text(partition_to_json(line.graph, line.partition))
     text, code = cmd_check(str(gp), str(pp))
     assert code == 0 and text.endswith("partition verdict: VeryCostEffective\n")
+    assert passes == [True]
 
 
-def test_kernel_allocates_no_square_bool_temporary():
+@pytest.mark.parametrize("keep", ["class table", "rows only"])
+def test_kernel_allocates_no_square_bool_temporary(keep):
+    # a copy that keeps only the rows counts by popcount, with its degree pass
     cert = dispatch(4641, "gamma")
     g, part = cert.graph, cert.partition
+    if keep == "rows only":
+        g = LabeledGraph._from_keys(g.keys().copy(), g.rows().copy())
     tracemalloc.start()
     try:
         assert is_vce(g, part)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < g.n_vertices ** 2 / 2
+    assert peak < g.n_vertices ** 2 / (2 if keep == "rows only" else 50)
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000), st.integers(0, 10_000))
