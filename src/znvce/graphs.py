@@ -89,9 +89,9 @@ class LabeledGraph:
         uint8 array `rows` of shape (|V|, ceil(|V| / 8)) that nothing else
         holds and that is exactly `np.packbits` along axis 1 of a symmetric
         |V|-square bool matrix with a clear diagonal: every padding bit past
-        |V| zero and every diagonal bit clear; or None and a `base` from which
-        `rows()` builds them so (`_edge_graphs`). `_residue_graphs` builds rows
-        so and hands in `classes`. `serialize._graph` checks distinctness
+        |V| zero and every diagonal bit clear; or None and the `classes`
+        (`_residue_graphs`) or `base` (`_edge_graphs`) from which `rows()`
+        builds them so. `serialize._graph` checks distinctness
         itself, takes its keys from `_rendered_keys` or `parse_label`, which
         both check a < b, and packs a matrix in which it sets both halves of
         each edge it has checked to satisfy 0 <= i < j < |V|."""
@@ -149,11 +149,19 @@ class LabeledGraph:
     def rows(self) -> np.ndarray:
         """The read-only adjacency rows packed to bytes, (|V|, ceil(|V| / 8))
         uint8: vertex u is bit 128 >> u % 8 of byte u // 8, padding bits zero.
-        A line or total graph builds them from Γ on first use only."""
+        A built graph builds them on first use only, from its class table or
+        from Γ."""
         if self._rows is None:
-            g, iu, iv = self._base
-            self._rows = _edge_rows(g, iu, iv, self.n_vertices - iu.size)
-            self._rows.setflags(write=False)
+            if self._classes is not None:
+                c, class_rows, loop = self._classes
+                rows = class_rows.take(c, axis=0)
+                v = loop[c].nonzero()[0]
+                rows[v, v >> 3] &= _CLEAR_BIT[v & 7]
+            else:
+                g, iu, iv = self._base
+                rows = _edge_rows(g, iu, iv, self.n_vertices - iu.size)
+            rows.setflags(write=False)
+            self._rows = rows
         return self._rows
 
     def degrees(self) -> np.ndarray:
@@ -303,11 +311,11 @@ def _residue_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily
     min(v_p(u), e) + min(v_p(v), e) >= e, so n | u*v iff
     n | gcd(u, n) * gcd(v, n): adjacency is fixed by a table over the
     divisor classes, the compressed zero-divisor graph. The sieve, the
-    classes and the table are shared by every graph asked for, and each is
-    built as rows: the table's columns gathered by class and packed once,
-    its rows gathered by class, and the diagonal bits cleared. Each graph
-    keeps its class table as `_classes`: every vertex's class id, the packed
-    class rows and the self-adjacent flags, by class."""
+    classes and the table are shared by every graph asked for. Each graph
+    keeps its class table as `_classes`: every vertex's class id, the
+    table's columns gathered by class and packed once (the class rows) and
+    the self-adjacent flags, by class; `rows()` gathers the class rows by
+    class and clears the diagonal bits on first use only."""
     gcds = gcd_sieve(n)[1:]
     # every proper divisor d of n is gcd(d, n), so these are all the classes.
     # Array methods here, not np.flatnonzero and the like: their wrappers
@@ -324,15 +332,10 @@ def _residue_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily
         vs = kept[cls].nonzero()[0]
         c = cls[vs]
         # row c of the class table, its columns gathered by class and packed,
-        # is a class-c vertex's row: gather rows. `take` keeps the gathered
-        # columns C-ordered, which packs 3-4x as fast as a fancy-indexed
-        # column gather
+        # is a class-c vertex's row. `take` keeps the gathered columns
+        # C-ordered, which packs 3-4x as fast as a fancy-indexed column gather
         class_rows = np.packbits(table.take(c, axis=1), axis=1)
-        rows = class_rows.take(c, axis=0)
-        if (kept & self_adjacent).any():
-            v = self_adjacent[c].nonzero()[0]
-            rows[v, v >> 3] &= _CLEAR_BIT[v & 7]
-        out[f] = LabeledGraph._from_keys((vs + 1).repeat(2).reshape(-1, 2), rows, n,
+        out[f] = LabeledGraph._from_keys((vs + 1).repeat(2).reshape(-1, 2), None, n,
                                          classes=(c, class_rows, self_adjacent))
     return out
 

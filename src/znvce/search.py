@@ -25,12 +25,12 @@ DEFAULT_VERTEX_CAP = 26
 # space spans at most 2^_MAX_FREE vectors
 _LO_VECTORS, _BLOCK, _HI_CHUNK, _MAX_FREE = 1 << 12, 1 << 14, 1 << 8, 62
 
-# brute_force asks the refuter once, before it scans, on scans of
-# _REFUTE_FROM masks or more. A branch node costs about as much as 2500 masks
-# of the kernel (11 us against 230 M masks/s on total-of-gamma(49), 2-core
-# Xeon), so a node budget of 1/2^_REFUTE_SHIFT of the masks to scan, but at
-# least _REFUTE_MIN, costs a refuter that gives up about 4% of the scan
-_REFUTE_FROM, _REFUTE_SHIFT, _REFUTE_MIN = 1 << 17, 16, 16
+# brute_force asks _first_mask before every scan. A branch node costs about
+# as much as 2500 masks of the kernel (11 us against 230 M masks/s on
+# total-of-gamma(49), 2-core Xeon), so a node budget of 1/2^_NODES_SHIFT of
+# the masks to scan, but at least _NODES_MIN, costs a search that gives up
+# about 4% of the scan
+_NODES_SHIFT, _NODES_MIN = 16, 16
 
 # local_search climbs its first restart alone and the rest _WAVE at a time
 _WAVE = 32
@@ -117,25 +117,26 @@ def _components(nbrs: list[list[int]]) -> list[list[int]]:
     return sorted(comps, key=len)
 
 
-def _refute(adj: np.ndarray, budget: int | None = None) -> bool:
-    """Whether forced-side propagation and a depth-first search prove that
-    no bipartition of `adj` is very cost effective; False when a component
-    has a very-cost-effective assignment of its own or the search has tried
-    `budget` branch nodes (None: no limit) without a proof.
+def _first_mask(adj: np.ndarray, budget: int | None = None) -> int | None:
+    """brute_force's first very-cost-effective mask of `adj` (vertex 0 on R,
+    bit v - 1 putting vertex v on B), by forced-side propagation and a
+    depth-first search: None when there is none, and -1 when the search has
+    tried `budget` branch nodes (None: no limit) without a mask or a proof.
 
     A vertex of degree d may have at most (d - 1) // 2 neighbours on its own
     side. An unassigned vertex over that limit on one side is forced to the
     other, and an assigned vertex at its limit forces its unassigned
     neighbours to the other side; propagation runs to a fixed point or a
     conflict. Swapping the sides of one connected component keeps a
-    bipartition very cost effective, so each component, smallest first, pins
-    a vertex of the largest degree to R and is searched on its own: the
-    graph is refuted as soon as one component is. Past the propagation, a
-    branch node assigns the unassigned vertex with the least room left on
-    its roomier side (then the most assigned neighbours, the largest degree,
-    the smallest id), trying that side first. Branching keeps an explicit
-    stack of undo marks, so no chain of assignments can hit Python's
-    recursion limit. With a budget of 0 only the pins' propagation runs.
+    bipartition very cost effective, and components share no bits, so the
+    first mask ORs each component's first, which has its highest vertex on
+    R. Each component, smallest first, pins vertex 0 or else its highest
+    vertex to R and is searched on its own; one refuted component refutes
+    the graph. A branch node takes the component's highest unassigned
+    vertex, R first, so complete assignments come in increasing mask order.
+    An explicit stack of undo marks keeps long chains of assignments clear
+    of Python's recursion limit. With a budget of 0 only the pins'
+    propagation runs.
     """
     ends = np.cumsum(adj.sum(axis=1)).tolist()
     cols = np.nonzero(adj)[1].tolist()
@@ -184,31 +185,27 @@ def _refute(adj: np.ndarray, budget: int | None = None) -> bool:
 
     nodes = 0
     for comp in _components(nbrs):
-        ok = assign(max(comp, key=lambda v: len(nbrs[v])), 0)
-        stack: list[tuple[int, int, int]] = []  # (undo mark, vertex, side left to try)
+        comp.sort(reverse=True)
+        ok = assign(0 if comp[-1] == 0 else comp[0], 0)
+        stack: list[tuple[int, int]] = []  # (undo mark, vertex) whose B side is left to try
         while True:
             if ok:
-                r, b = count
-                free = [(max(lim[u] - r[u], lim[u] - b[u]), -r[u] - b[u], -len(nbrs[u]), u)
-                        for u in comp if side[u] < 0]
-                if not free:
-                    break  # this component has a very-cost-effective assignment
-                v = min(free)[3]
-                s = int(r[v] > b[v])
-                stack.append((len(trail), v, 1 - s))
+                v = next((u for u in comp if side[u] < 0), -1)
+                if v < 0:
+                    break  # the component's first very-cost-effective assignment
+                s = 0
+                stack.append((len(trail), v))
+            elif not stack:
+                return None
             else:
-                while stack and stack[-1][2] < 0:
-                    stack.pop()
-                if not stack:
-                    return True
-                mark, v, s = stack[-1]
-                stack[-1] = (mark, v, -1)
+                mark, v = stack.pop()
+                s = 1
                 undo(mark)
             if budget is not None and nodes >= budget:
-                break
+                break  # given up, with v unassigned
             nodes += 1
             ok = assign(v, s)
-    return False
+    return -1 if -1 in side else sum(1 << (v - 1) for v in range(1, len(side)) if side[v] == 1)
 
 
 def brute_force(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> SearchOutcome:
@@ -227,11 +224,11 @@ def brute_force(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Search
     than 62 free vertices is a DomainError, raised before anything is
     allocated.
 
-    A scan of 2^17 masks or more first asks the refuter once, with a
-    bounded number of branch nodes; a refuter that gives up leaves the
-    whole scan to run. Either way the count of a NoneExists outcome covers
-    every mask, each one evaluated or ruled out by a neighbour-count bound,
-    and its witness is an ExhaustedSearch of that count.
+    _first_mask is asked first, with a node budget of 1/2^16 of the masks
+    (at least 16), and the scan runs only when it gives up. Either way the
+    count of a NoneExists outcome covers every mask, each one evaluated or
+    ruled out by a neighbour-count bound, and its witness is an
+    ExhaustedSearch of that count.
     """
     t0 = perf_counter()
     out = _unsearched(g, t0)
@@ -247,12 +244,12 @@ def brute_force(g: LabeledGraph, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Search
                           f"{free} exceeds the limit of {_MAX_FREE}")
     # mask 0 (all on R) is never very cost effective, so scanning it changes
     # no outcome; the examined count starts at mask 1
-    ones = np.ones(nv, dtype=np.int64)
-    radix = np.full(nv, 2)
-    radix[0] = 1
     space = 1 << free
-    refuted = space >= _REFUTE_FROM and _refute(g.adj, max(_REFUTE_MIN, space >> _REFUTE_SHIFT))
-    mask = None if refuted else _first_vce(g.adj, ones, ones == 0, radix)
+    mask = _first_mask(g.adj, max(_NODES_MIN, space >> _NODES_SHIFT))
+    if mask == -1:
+        ones, radix = np.ones(nv, dtype=np.int64), np.full(nv, 2)
+        radix[0] = 1
+        mask = _first_vce(g.adj, ones, ones == 0, radix)
     if mask is None:
         return SearchOutcome(SearchStatus.NONE_EXISTS, None, space - 1, perf_counter() - t0,
                              reason="enumeration exhausted", witness=ExhaustedSearch(space - 1))

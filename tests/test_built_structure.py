@@ -4,7 +4,7 @@ checker's side counts and the degrees, which must equal those a copy that
 keeps only the rows counts by popcount."""
 import numpy as np
 
-from znvce import Bipartition, GraphFamily, LabeledGraph, check_bipartition, is_vce
+from znvce import Bipartition, GraphFamily, LabeledGraph, check_bipartition, dispatch, is_vce
 from znvce.constructions import _route
 from znvce.graphs import family_graphs
 from znvce.rings import modulus_shape
@@ -59,8 +59,10 @@ def test_class_edge_and_row_counts_agree_on_every_graph():
             masks = list(partitions(n, family, g, rng))
             got = [(_b_counts(g, m), check_bipartition(g, Bipartition(m))) for m in masks]
             deg = g.degrees()
-            # the line and total graphs count from Γ without building rows
-            assert (g._rows is None) == edge_graph, (n, family)
+            # every built graph counts from its structure without building
+            # rows, except that gamma's were read for the line and total
+            # graphs' edges; the rows built later are those of the definition
+            assert g._rows is None or family is GraphFamily.GAMMA, (n, family)
             rows = g.rows()
             assert np.array_equal(rows, np.packbits(definition(n, g), axis=1)), (n, family)
             copy = LabeledGraph._from_keys(g.keys().copy(), rows.copy(), n)
@@ -78,6 +80,24 @@ def test_class_edge_and_row_counts_agree_on_every_graph():
             seen[family][0] += 1
     # every family is covered by graphs, partitions that pass and ones that fail
     assert all(x > 50 for s in seen.values() for x in s), seen
+
+
+def test_a_routed_dispatch_builds_no_rows():
+    # a construction is verified from the class table alone; a residue
+    # graph's rows, built later, are those of the definition
+    routed = 0
+    for n in range(2, 201):
+        for family in RESIDUE:
+            if _route(modulus_shape(n), family) is None:
+                continue
+            g = dispatch(n, family).graph
+            assert g._rows is None, (n, family)
+            assert np.array_equal(g.rows(), np.packbits(definition(n, g), axis=1)), (n, family)
+            routed += 1
+    assert routed > 100
+    # 4641 = 3 * 7 * 13 * 17: 2336 vertices, whose rows would take 666 KiB
+    g = dispatch(4641, GraphFamily.GAMMA).graph
+    assert g.n_vertices == 2336 and g._rows is None
 
 
 def test_divisor_classes_lie_inside_twin_classes():

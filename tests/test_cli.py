@@ -351,7 +351,7 @@ class TestSearch:
         assert "examined: 63" in text
 
     def test_none_exists_by_branch_nodes_from_file(self, tmp_path):
-        # a K_5 beside a 20-cycle, which the refuter closes by branching
+        # a K_5 beside a 20-cycle, which the search closes by branching
         # before the scan: the count still covers all 2^24 - 1 masks
         adj = np.zeros((25, 25), dtype=bool)
         adj[:5, :5] = ~np.eye(5, dtype=bool)
@@ -381,8 +381,10 @@ class TestSearch:
 
     @pytest.mark.parametrize("n, local", [(16, False), (48, False), (16, True)])
     def test_a_partition_that_fails_verification_is_never_printed(self, monkeypatch, n, local):
-        # vector 1 puts one vertex, or one class, alone on side B; the hill
-        # climber is made to stop on vertex 0 alone on side B
+        # vector 1 puts one vertex, or one class, alone on side B, where the
+        # search before brute_force's scan gives up; the hill climber is made
+        # to stop on vertex 0 alone on side B
+        monkeypatch.setattr(search, "_first_mask", lambda adj, budget=None: -1)
         monkeypatch.setattr(search, "_first_vce", lambda *args: 1)
         monkeypatch.setattr(search, "_climb_one",
                             lambda a2, s, steps: (1, np.arange(s.size) == 0))

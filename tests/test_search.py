@@ -221,9 +221,17 @@ def test_kernel_finds_the_first_mask_across_block_ends(nv, seed, pin_first, size
     assert got == (int(hits[0]) if hits.size else None)
 
 
-def _refuter_graph(nv: int, seed: int, kind: str) -> np.ndarray:
-    if kind == "complete":
+def _search_graph(nv: int, seed: int, kind: str) -> np.ndarray:
+    if kind == "complete" or (kind == "shuffled-components" and nv < 4):
         return complete_graph(nv).adj
+    if kind == "shuffled-components":
+        # two or more components, no vertex isolated, their ids interleaved
+        k = nv // 2
+        adj = np.zeros((nv, nv), dtype=bool)
+        adj[:k, :k] = random_graph_without_isolated(k, seed=seed, p=0.5).adj
+        adj[k:, k:] = random_graph_without_isolated(nv - k, seed=seed + 1, p=0.5).adj
+        order = np.random.default_rng(seed).permutation(nv)
+        return adj[order][:, order]
     if kind in ("components", "odd-clique"):
         # a random graph beside a second random one or beside a K_3 or K_5
         k = 3 + 2 * (seed % 2) if kind == "odd-clique" else nv // 2
@@ -240,17 +248,24 @@ def _refuter_graph(nv: int, seed: int, kind: str) -> np.ndarray:
     return adj
 
 
-@given(st.integers(2, 12), st.integers(0, 10_000),
-       st.sampled_from(["sparse", "dense", "complete", "isolated", "components", "odd-clique"]),
+@given(st.integers(2, 14), st.integers(0, 10_000),
+       st.sampled_from(["sparse", "dense", "complete", "isolated", "components", "odd-clique",
+                        "shuffled-components"]),
        st.integers(0, 8))
-@settings(max_examples=200, deadline=None)
-def test_refuter_matches_reference_enumeration(nv, seed, kind, budget):
-    # with no budget the refuter is exact; with any budget it is sound, as a
-    # search that runs out of nodes proves nothing
-    adj = _refuter_graph(nv, seed, kind)
-    has_vce = ref_has_vce(adj)
-    assert search._refute(adj) is not has_vce
-    assert not (has_vce and search._refute(adj, budget))
+@settings(max_examples=300, deadline=None)
+def test_first_mask_matches_the_scan(nv, seed, kind, budget):
+    # with no budget the search returns the scan's first mask, or None
+    # exactly when no bipartition is very cost effective; with any budget it
+    # gives up or returns that same answer, as a search that runs out of
+    # nodes proves nothing
+    adj = _search_graph(nv, seed, kind)
+    ones = np.ones(nv, dtype=np.int64)
+    radix = np.full(nv, 2)
+    radix[0] = 1
+    first = search._first_vce(adj, ones, ones == 0, radix)
+    assert (first is not None) is ref_has_vce(adj)
+    assert search._first_mask(adj) == first
+    assert search._first_mask(adj, budget) in (-1, first)
 
 
 def _cycle(nv: int) -> np.ndarray:
@@ -260,12 +275,20 @@ def _cycle(nv: int) -> np.ndarray:
     return adj
 
 
-def test_refuter_on_long_cycles():
+def test_first_mask_on_long_cycles():
     # a vertex of degree 2 may have no neighbour on its own side, so a cycle
-    # has a very-cost-effective bipartition iff it is even; propagation from
-    # the pin walks the whole cycle with no branch node and no recursion
-    assert search._refute(_cycle(2001), 0)
-    assert not search._refute(_cycle(2000))
+    # has a very-cost-effective bipartition iff it is even, the odd vertices
+    # on B; propagation from the pin walks the whole cycle with no branch
+    # node and no recursion
+    assert search._first_mask(_cycle(2001), 0) is None
+    assert search._first_mask(_cycle(2000), 0) == sum(1 << (v - 1) for v in range(1, 2000, 2))
+
+
+def test_first_mask_pins_each_component_s_highest_vertex():
+    # edges 0-2 and 1-3: vertex 0 and vertex 3 stay on R, so 1 and 2 go to B
+    adj = np.zeros((4, 4), dtype=bool)
+    adj[[0, 2, 1, 3], [2, 0, 3, 1]] = True
+    assert search._first_mask(adj) == 0b011
 
 
 def _outcome(out) -> tuple:
@@ -300,7 +323,7 @@ def _survey_graphs_within_the_cap():
 
 
 def _budget(nv: int) -> int:
-    """The node budget brute_force gives the refuter on |V| = nv."""
+    """The node budget brute_force gives _first_mask on |V| = nv."""
     return max(16, 2**(nv - 1) >> 16)
 
 
@@ -383,26 +406,27 @@ class TestExactSearch:
         assert out.status.value == status
 
 
-class TestRefuter:
-    """The bounded refutation that brute_force asks for once, before it
-    scans 2^17 masks or more, with a node budget of 1/2^16 of the masks (at
-    least 16): it may only make exhaustive negatives faster, never change an
-    outcome."""
+class TestFirstMask:
+    """The search that brute_force asks before every scan, with a node
+    budget of 1/2^16 of the masks (at least 16): its first mask or its
+    proof of none is the scan's, so it may only make brute_force faster,
+    never change an outcome."""
 
     @staticmethod
-    def _spy(monkeypatch, decide=search._refute) -> list[tuple[int, int | None, bool]]:
+    def _spy(monkeypatch, decide=search._first_mask) -> list[tuple[int, int | None, int | None]]:
         # one (|V|, budget, result) per call
         calls = []
 
         def spy(adj, budget=None):
             calls.append((adj.shape[0], budget, decide(adj, budget)))
             return calls[-1][2]
-        monkeypatch.setattr(search, "_refute", spy)
+        monkeypatch.setattr(search, "_first_mask", spy)
         return calls
 
     def _assert_same_outcomes(self, monkeypatch, graphs):
-        """The refuter's calls for each graph, after checking that stubbing
-        it to give up leaves every outcome as it was."""
+        """The search's calls for each graph, after checking that stubbing
+        it to give up, which leaves every answer to the scan, leaves every
+        outcome as it was."""
         def run(calls):
             outcomes, per_graph = [], []
             for g in graphs:
@@ -412,62 +436,61 @@ class TestRefuter:
             return outcomes, per_graph
 
         live, per_graph = run(self._spy(monkeypatch))
-        stubbed, _ = run(self._spy(monkeypatch, lambda adj, budget=None: False))
+        stubbed, _ = run(self._spy(monkeypatch, lambda adj, budget=None: -1))
         assert stubbed == live
-        return per_graph
+        # asked once on every scan, after the isolated-vertex check
+        assert [len(c) for c in per_graph] == [isolated_obstruction(g) is None for g in graphs]
+        return [calls[0][2] for calls in per_graph if calls]
 
     def test_survey_outcomes_unchanged(self, monkeypatch):
         graphs = list(_survey_graphs_within_the_cap())
         assert len(graphs) == 152
-        per_graph = self._assert_same_outcomes(monkeypatch, graphs)
-        results = [r for calls in per_graph for _, _, r in calls]
-        assert True in results and False in results
+        results = self._assert_same_outcomes(monkeypatch, graphs)
+        # found, refuted and given up to the scan
+        assert None in results and -1 in results and any(r and r > 0 for r in results)
 
     def test_random_outcomes_unchanged(self, monkeypatch):
         # each component is searched on its own, smallest first, so a K_5
-        # (4 branch nodes) is refuted by the one call, whatever lies beside
-        # it, once the scan is long enough (18 vertices up) to call the
-        # refuter at all
+        # (4 branch nodes) is refuted, whatever lies beside it
         graphs = [g for nv in range(16, 25, 2)
                   for g in (random_graph_without_isolated(nv, seed=nv),
                             random_graph_without_isolated(nv, seed=nv, p=0.7),
                             _with_odd_clique(nv, nv, 5, 0.4), _with_odd_clique(nv, nv, 7, 0.15))]
-        per_graph = self._assert_same_outcomes(monkeypatch, graphs)
-        assert all(len(calls) <= 1 for calls in per_graph)
-        assert per_graph[2::4] == [[]] + [[(nv, _budget(nv), True)] for nv in range(18, 25, 2)]
-        results = [r for calls in per_graph for _, _, r in calls]
-        assert True in results and False in results
+        results = self._assert_same_outcomes(monkeypatch, graphs)
+        assert results[2::4] == [None] * 5
+        assert -1 in results and any(r and r > 0 for r in results)
 
     @pytest.mark.parametrize("n, examined", [(18, 8_388_607), (22, 1_048_575),
                                              (26, 16_777_215)])
     def test_decides_total_of_gamma_by_propagation(self, monkeypatch, n, examined):
         g = build_family(n, GraphFamily.TOTAL_OF_GAMMA)
+        assert search._first_mask(g.adj, 0) is None
         calls = self._spy(monkeypatch)
         out = brute_force(g)
-        assert calls == [(g.n_vertices, _budget(g.n_vertices), True)]
+        assert calls == [(g.n_vertices, _budget(g.n_vertices), None)]
         assert _outcome(out) == (SearchStatus.NONE_EXISTS, examined, None,
                                  "enumeration exhausted")
 
     def test_k5_beside_c20_is_refuted_by_branch_nodes(self, monkeypatch):
         # propagation from the pins leaves K_5 open; 4 branch nodes close it
         g = _k5_beside_c20()
-        assert not search._refute(g.adj, 0) and search._refute(g.adj, 4)
+        assert search._first_mask(g.adj, 3) == -1 and search._first_mask(g.adj, 4) is None
         calls = self._spy(monkeypatch)
         out = brute_force(g)
-        assert calls == [(25, _budget(25), True)]
+        assert calls == [(25, _budget(25), None)]
         assert _outcome(out) == (SearchStatus.NONE_EXISTS, 16_777_215, None,
                                  "enumeration exhausted")
 
-    @pytest.mark.parametrize("nv", [17, 18])
-    def test_asked_only_on_scans_of_2_to_the_17_masks(self, monkeypatch, nv):
-        # K_17 scans 2^16 masks with no call; K_18 scans 2^17 and asks once,
-        # with the least budget, and the refuter gives up on its partition
+    @pytest.mark.parametrize("nv, result", [(4, 3), (17, -1), (18, 511)])
+    def test_asked_on_every_scan(self, monkeypatch, nv, result):
+        # the least budget, 16 nodes, finds K_18's first mask, the lowest 9
+        # free vertices on B, and gives up on K_17, which the scan exhausts
         calls = self._spy(monkeypatch)
         out = brute_force(complete_graph(nv))
-        assert calls == ([] if nv == 17 else [(18, 16, False)])
-        assert out.status is (SearchStatus.NONE_EXISTS if nv == 17 else SearchStatus.FOUND)
+        assert calls == [(nv, 16, result)]
+        assert out.partitions_examined == (result if result > 0 else 2**(nv - 1) - 1)
 
-    def test_isolated_vertex_stops_before_the_refuter_and_the_scan(self, monkeypatch):
+    def test_isolated_vertex_stops_before_the_search_and_the_scan(self, monkeypatch):
         adj = np.zeros((26, 26), dtype=bool)
         adj[:25, :25] = _k5_beside_c20().adj
         g = LabeledGraph([Residue(i + 1) for i in range(26)], adj)
@@ -477,9 +500,14 @@ class TestRefuter:
                                             "isolated vertex 26")
         assert calls == []
 
-    def test_one_scan_over_the_whole_space(self, monkeypatch):
-        # a refuter that gives up leaves one kernel call, vertex 0 of radix 1
-        calls = self._spy(monkeypatch)
+    @pytest.mark.parametrize("g, examined", [
+        (gamma(40), 599_186),
+        (build_family(24, GraphFamily.LINE_OF_GAMMA), 720_282),
+    ], ids=["gamma-40", "line-of-gamma-24"])
+    def test_found_without_a_scan(self, monkeypatch, g, examined):
+        # the search finds the first mask within its budget, so the kernel
+        # is never called; one that gives up leaves one kernel call over the
+        # whole space, vertex 0 of radix 1, to the same outcome
         scans = []
 
         def kernel(m, size, clique, radix):
@@ -487,28 +515,28 @@ class TestRefuter:
             return first_vce(m, size, clique, radix)
         first_vce = search._first_vce
         monkeypatch.setattr(search, "_first_vce", kernel)
-        g = gamma(40)
+        calls = self._spy(monkeypatch)
         out = brute_force(g)
-        assert calls == [(g.n_vertices, _budget(g.n_vertices), False)]
+        assert calls == [(g.n_vertices, _budget(g.n_vertices), examined)] and scans == []
+        assert out.status is SearchStatus.FOUND and out.partitions_examined == examined
+        self._spy(monkeypatch, lambda adj, budget=None: -1)
+        assert _outcome(brute_force(g)) == _outcome(out)
         assert scans == [[1] + [2] * (g.n_vertices - 1)]
-        assert out.status is SearchStatus.FOUND and out.partitions_examined == 599_186
 
-    def test_survey_27_to_39_asks_the_refuter_at_most_once_per_scan(self, monkeypatch):
-        # a brute_force call asks at most once, and only on scans of 2^17
-        # masks or more: 18 vertices or more, vertex 0 pinned
+    def test_survey_27_to_39_asks_the_search_once_per_scan(self, monkeypatch):
+        # a brute_force call past the isolated-vertex check asks exactly once
         calls = self._spy(monkeypatch)
         per_call = []
 
         def counted(g, vertex_cap=DEFAULT_VERTEX_CAP):
             before = len(calls)
             out = brute_force(g, vertex_cap)
-            per_call.append((g.n_vertices, calls[before:]))
+            per_call.append((out.partitions_examined, calls[before:]))
             return out
         monkeypatch.setattr(search, "brute_force", counted)
         cmd_survey(27, 39)
         assert calls and len(per_call) > len(calls)
-        assert all(len(asked) <= 1 for _, asked in per_call)
-        assert all(nv - 1 >= 17 for nv, asked in per_call if asked)
+        assert all(len(asked) == (examined > 0) for examined, asked in per_call)
 
 
 class TestLocalSearch:
