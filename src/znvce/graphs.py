@@ -57,10 +57,10 @@ class LabeledGraph:
     row (a, b), a < b, so the two kinds never share a key. The label objects
     are built from the keys on first use.
     `modulus` records the n the graph derives from and survives the
-    line/total transforms. A built graph keeps what `vce._inside_counts`
-    and `degrees()` count from in place of the rows: a residue graph its
+    line/total transforms. A built graph keeps what `degrees()` and
+    `degrees_in()` count from in place of the rows: a residue graph its
     divisor-class table (`_classes`), a line or total graph Γ and Γ's edge
-    ends (`_base`).
+    ends (`_base`). No other module reads how a graph is stored.
     """
 
     __slots__ = ("_keys", "_adj", "_rows", "modulus", "_deg", "_labels", "_id_of",
@@ -91,10 +91,10 @@ class LabeledGraph:
         |V|-square bool matrix with a clear diagonal: every padding bit past
         |V| zero and every diagonal bit clear; or None and the `classes`
         (`_residue_graphs`) or `base` (`_edge_graphs`) from which `rows()`
-        builds them so. `serialize._graph` checks distinctness
-        itself, takes its keys from `_rendered_keys` or `parse_label`, which
-        both check a < b, and packs a matrix in which it sets both halves of
-        each edge it has checked to satisfy 0 <= i < j < |V|."""
+        builds them so. `serialize._graph` checks distinctness itself, takes
+        its keys from `_rendered_keys` or `parse_label`, which both check
+        a < b, and packs a matrix in which it sets both halves of each edge
+        it has checked to satisfy 0 <= i < j < |V|."""
         g = cls.__new__(cls)
         g._init(keys, rows, modulus, **structure)
         return g
@@ -186,14 +186,43 @@ class LabeledGraph:
             self._deg = deg
         return self._deg
 
+    def degrees_in(self, in_set: np.ndarray) -> np.ndarray:
+        """Each vertex's neighbours in `in_set`, a bool mask by vertex id, as
+        int64: from what `degrees()` counts from, built rows or not."""
+        if self._classes is not None:
+            # a class row less a self-adjacent vertex's own bit
+            c, class_rows, loop = self._classes
+            return _row_popcounts(class_rows & np.packbits(in_set))[c] - (loop[c] & in_set)
+        if self._base is not None:
+            # a line or total graph of Γ: at(x) counts the in-set edges at
+            # residue x, and an edge uv meets at(u) + at(v) of them, itself
+            # twice when in the set
+            g, iu, iv = self._base
+            lead = self.n_vertices - iu.size
+            on = in_set[lead:]
+            at = np.bincount(np.concatenate([iu[on], iv[on]]), minlength=g.n_vertices)
+            ne = at[iu] + at[iv] - 2 * on
+            if not lead:
+                return ne
+            # in the total graph an edge also meets its two ends, and a
+            # residue its Γ-neighbours and its incident edges
+            res = in_set[:lead]
+            return np.concatenate([g.degrees_in(res) + at, ne + res[iu] + res[iv]])
+        # the mask's padding bits meet the rows' zero padding
+        t = self.rows() & np.packbits(in_set)
+        return _row_popcounts(t, out=t)
+
     def degree(self, v: int) -> int:
         return int(self.degrees()[v])
 
     def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adj[v])
+        nv = self.n_vertices
+        return np.unpackbits(self.rows()[range(nv)[v]], count=nv).nonzero()[0]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
+        # range() raises IndexError for an id in a row's padding bits too
+        u, v = range(self.n_vertices)[u], range(self.n_vertices)[v]
+        return bool(self.rows()[u, v >> 3] & _BIT[v & 7])
 
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The ends i < j of every edge as two intp arrays, in lexicographic
@@ -355,17 +384,15 @@ def non_nilradical_graph(n: int) -> LabeledGraph:
     return _residue_graphs(n, (GraphFamily.OMEGA,))[GraphFamily.OMEGA]
 
 
-def _edge_graphs(g: LabeledGraph, families: set[GraphFamily],
-                 op: str = "family_graphs") -> dict[GraphFamily, LabeledGraph]:
+def _edge_graphs(g: LabeledGraph, families: set[GraphFamily]) -> dict[GraphFamily, LabeledGraph]:
     """g's line graph, in which two edges are adjacent iff they share an
     endpoint, and its total graph, the one or both of them `families` asks
-    for, keyed by family; `op` names the caller when g is not
-    residue-labeled. Both keep g and its edge ends (`edge_ends`) as `_base`,
-    and count their degrees from g's and build their rows (`_edge_rows`)
-    from them on first use."""
+    for, keyed by family. Both keep g and its edge ends (`edge_ends`) as
+    `_base`, and count their degrees from g's and build their rows
+    (`_edge_rows`) from them on first use."""
     keys = g.keys()
     if (keys[:, 0] != keys[:, 1]).any():
-        raise DomainError(f"{op} expects a residue-labeled graph, found EdgePair")
+        raise DomainError("line and total graphs need a residue-labeled graph, found EdgePair")
     iu, iv = g.edge_ends()
     ku, kv = keys[iu, 0], keys[iv, 0]
     edge_keys = np.stack([np.minimum(ku, kv), np.maximum(ku, kv)], axis=1)
@@ -412,13 +439,12 @@ def _edge_rows(g: LabeledGraph, iu: np.ndarray, iv: np.ndarray, lead: int) -> np
 
 def line_graph(g: LabeledGraph) -> LabeledGraph:
     """One vertex per edge of g; adjacency iff the edges share an endpoint."""
-    return _edge_graphs(g, {GraphFamily.LINE_OF_GAMMA}, "line_graph")[GraphFamily.LINE_OF_GAMMA]
+    return _edge_graphs(g, {GraphFamily.LINE_OF_GAMMA})[GraphFamily.LINE_OF_GAMMA]
 
 
 def total_graph(g: LabeledGraph) -> LabeledGraph:
     """Vertices of g plus edges of g; all vertex-vertex, edge-edge, vertex-edge adjacencies."""
-    return _edge_graphs(g, {GraphFamily.TOTAL_OF_GAMMA},
-                        "total_graph")[GraphFamily.TOTAL_OF_GAMMA]
+    return _edge_graphs(g, {GraphFamily.TOTAL_OF_GAMMA})[GraphFamily.TOTAL_OF_GAMMA]
 
 
 def family_graphs(n: int, families: Iterable[GraphFamily]) -> dict[GraphFamily, LabeledGraph]:

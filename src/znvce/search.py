@@ -12,7 +12,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .graphs import LabeledGraph, VertexLabel
+from .graphs import _BIT, LabeledGraph, VertexLabel
 from .vce import Bipartition
 
 DEFAULT_VERTEX_CAP = 26
@@ -410,18 +410,18 @@ def _climb(a2: np.ndarray, s: np.ndarray,
 def _twins(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """twin_classes, plus each class's smallest vertex, from one stable sort.
 
-    Slot v < |V| holds the open row of v, g's packed row (vertex u is bit
-    128 >> u % 8 of byte u // 8), slot |V| + v its closed row (the open row
-    with v's own bit set); each row is one byte-string key. In sorted order a
-    run of equal keys starts wherever two neighbours differ, and since ties
-    keep slot order, the first slot of a run is its smallest. No open row
-    equals a closed one, because N(u) = N[v] would put u in N(u).
+    Slot v < |V| holds the open row of v, g's packed row, slot |V| + v its
+    closed row (the open row with v's own bit set); each row is one
+    byte-string key. In sorted order a run of equal keys starts wherever two
+    neighbours differ, and since ties keep slot order, the first slot of a
+    run is its smallest. No open row equals a closed one, because
+    N(u) = N[v] would put u in N(u).
     """
     nv = g.n_vertices
     v = np.arange(nv)
     packed = g.rows()
     rows = np.concatenate((packed, packed))
-    rows[nv + v, v // 8] |= (128 >> v % 8).astype(np.uint8)
+    rows[nv + v, v >> 3] |= _BIT[v & 7]
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]

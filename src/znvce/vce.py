@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import PartitionError
-from .graphs import LabeledGraph, _row_popcounts
+from .graphs import LabeledGraph
 
 
 class Verdict(Enum):
@@ -113,37 +113,10 @@ def _validate(g: LabeledGraph, part: Bipartition) -> None:
             f"partition covers {part.graph_size} vertices but the graph has {g.n_vertices}")
 
 
-def _b_counts(g: LabeledGraph, in_b: np.ndarray) -> np.ndarray:
-    """Each vertex's neighbours on side B as int64: from the class table or,
-    until its rows are built, Γ's edges when g keeps them, else by one masked
-    popcount over its rows, where the mask's padding meets the rows' zeros."""
-    if g._classes is not None:
-        # a residue graph: a vertex's row is its class row less its own bit,
-        # set when its class is self-adjacent
-        c, class_rows, loop = g._classes
-        return _row_popcounts(class_rows & np.packbits(in_b))[c] - (loop[c] & in_b)
-    if g._base is not None and g._rows is None:
-        # a line or total graph of Γ: at(x) counts the B edges at residue x,
-        # and an edge uv meets at(u) + at(v) of them, itself twice when on B
-        h, iu, iv = g._base
-        lead = g.n_vertices - iu.size
-        on_b = in_b[lead:]
-        at = np.bincount(np.concatenate([iu[on_b], iv[on_b]]), minlength=h.n_vertices)
-        nb = at[iu] + at[iv] - 2 * on_b
-        if not lead:
-            return nb
-        # in the total graph an edge also meets its two ends, and a residue
-        # its Γ-neighbours and its incident edges
-        res = in_b[:lead]
-        return np.concatenate([_b_counts(h, res) + at, nb + res[iu] + res[iv]])
-    t = g.rows() & np.packbits(in_b)
-    return _row_popcounts(t, out=t)
-
-
 def _inside_counts(g: LabeledGraph, part: Bipartition) -> tuple[np.ndarray, np.ndarray]:
     # the one counting function behind is_vce and check_bipartition: side B
-    # counted by _b_counts, side R as the degree less B, in no |V|^2 temporary
-    nb_b = _b_counts(g, part.in_b)
+    # counted by the graph, side R as the degree less B, in no |V|^2 temporary
+    nb_b = g.degrees_in(part.in_b)
     nb_r = g.degrees() - nb_b
     return np.where(part.in_b, nb_b, nb_r), np.where(part.in_b, nb_r, nb_b)
 

@@ -1,7 +1,7 @@
 """The structure the builders keep, against the rows: a residue graph's
 divisor-class table and a line or total graph's Γ edges each give the
-checker's side counts and the degrees, which must equal those a copy that
-keeps only the rows counts by popcount."""
+counts `degrees_in` and `degrees` return, which must equal those a copy
+that keeps only the rows counts by popcount."""
 import numpy as np
 
 from znvce import Bipartition, GraphFamily, LabeledGraph, check_bipartition, dispatch, is_vce
@@ -9,7 +9,6 @@ from znvce.constructions import _route
 from znvce.graphs import family_graphs
 from znvce.rings import modulus_shape
 from znvce.search import twin_classes
-from znvce.vce import _b_counts
 
 RESIDUE = (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA)
 
@@ -57,8 +56,10 @@ def test_class_edge_and_row_counts_agree_on_every_graph():
             edge_graph = family not in RESIDUE
             assert (g._base if edge_graph else g._classes) is not None, (n, family)
             masks = list(partitions(n, family, g, rng))
-            got = [(_b_counts(g, m), check_bipartition(g, Bipartition(m))) for m in masks]
+            got = [(g.degrees_in(m), check_bipartition(g, Bipartition(m))) for m in masks]
             deg = g.degrees()
+            # the two counts of the same structure cannot drift apart
+            assert deg.tolist() == g.degrees_in(np.ones(g.n_vertices, bool)).tolist(), (n, family)
             # every built graph counts from its structure without building
             # rows, except that gamma's were read for the line and total
             # graphs' edges; the rows built later are those of the definition
@@ -70,7 +71,9 @@ def test_class_edge_and_row_counts_agree_on_every_graph():
             assert deg.tolist() == copy.degrees().tolist(), (n, family)
             for m, (nb, rep) in zip(masks, got):
                 part = Bipartition(m)
-                assert nb.tolist() == _b_counts(copy, m).tolist(), (n, family)
+                assert nb.tolist() == copy.degrees_in(m).tolist(), (n, family)
+                # counted again now that its rows are built, as after a search
+                assert nb.tolist() == g.degrees_in(m).tolist(), (n, family)
                 want = check_bipartition(copy, part)
                 assert rep.inside.tolist() == want.inside.tolist(), (n, family)
                 assert rep.outside.tolist() == want.outside.tolist(), (n, family)

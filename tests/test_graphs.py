@@ -281,9 +281,10 @@ def test_moduli_below_two_are_a_domain_error(n):
 
 def test_transforms_reject_non_residue_labels():
     t = total_graph(gamma(10))
-    with pytest.raises(DomainError):
+    text = "^line and total graphs need a residue-labeled graph, found EdgePair$"
+    with pytest.raises(DomainError, match=text):
         line_graph(t)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=text):
         total_graph(line_graph(gamma(16)))
 
 
@@ -610,6 +611,33 @@ def test_graph_equality_and_neighbors():
     assert [g.labels[int(i)].k for i in g.neighbors(v8)] == [3, 6, 9]
     assert g.has_edge(g.id_of(Residue(3)), g.id_of(Residue(4)))
     assert not g.has_edge(g.id_of(Residue(2)), g.id_of(Residue(3)))
+
+
+def test_neighbors_and_has_edge_read_rows_not_adj():
+    padded = 0
+    for n in range(2, 31):
+        built, ref = family_graphs(n, GraphFamily), family_graphs(n, GraphFamily)
+        for family, g in built.items():
+            a, nv = ref[family].adj, g.n_vertices
+            for u in range(nv):
+                assert g.neighbors(u).tolist() == np.flatnonzero(a[u]).tolist(), (n, family)
+                assert [g.has_edge(u, v) for v in range(nv)] == a[u].tolist(), (n, family)
+            if nv:
+                # negative ids keep numpy's meaning
+                assert g.neighbors(-1).tolist() == np.flatnonzero(a[-1]).tolist()
+                assert g.has_edge(-1, 0) == a[-1, 0] and g.has_edge(0, -nv) == a[0, 0]
+            # an id past |V| raises, one in a row's padding bits too
+            for bad in (nv, nv + 1, -nv - 1):
+                with pytest.raises(IndexError):
+                    g.neighbors(bad)
+                if nv:
+                    with pytest.raises(IndexError):
+                        g.has_edge(0, bad)
+                    with pytest.raises(IndexError):
+                        g.has_edge(bad, 0)
+            padded += nv % 8 != 0
+            assert g._adj is None, (n, family)
+    assert padded > 50
 
 
 def test_zero_divisors_are_the_gamma_vertices():
