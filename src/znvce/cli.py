@@ -222,8 +222,12 @@ def main(argv: list[str] | None = None) -> int:
     if text.startswith("error:"):
         sys.stderr.write(text)
     elif out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -57,10 +57,11 @@ class LabeledGraph:
     row (a, b), a < b, so the two kinds never share a key. The label objects
     are built from the keys on first use.
     `modulus` records the n the graph derives from and survives the
-    line/total transforms. A built graph keeps what `degrees()` and
-    `degrees_in()` count from in place of the rows: a residue graph its
-    divisor-class table (`_classes`), a line or total graph Γ and Γ's edge
-    ends (`_base`). No other module reads how a graph is stored.
+    line/total transforms. A built graph keeps what `degrees_in()` counts
+    from in place of the rows: a residue graph its divisor-class table
+    (`_classes`), a line or total graph Γ and Γ's edge ends (`_base`).
+    `degrees()` is `degrees_in()` of every vertex. No other module reads how
+    a graph is stored.
     """
 
     __slots__ = ("_keys", "_adj", "_rows", "modulus", "_deg", "_labels", "_id_of",
@@ -165,30 +166,18 @@ class LabeledGraph:
         return self._rows
 
     def degrees(self) -> np.ndarray:
-        """The read-only int64 degrees by vertex id, counted on first use
-        only: from the class table or from Γ's degrees when the graph keeps
-        them, else by popcount over the rows."""
+        """The read-only int64 degrees by vertex id: `degrees_in` of every
+        vertex, counted on first use only."""
         if self._deg is None:
-            if self._classes is not None:
-                # a class row less a self-adjacent vertex's own bit
-                c, class_rows, loop = self._classes
-                deg = _row_popcounts(class_rows)[c] - loop[c]
-            elif self._base is not None:
-                # an edge uv meets deg u + deg v - 2 edges, and in the total
-                # graph its two ends; a residue u its deg u neighbours and edges
-                g, iu, iv = self._base
-                d = g.degrees()
-                ends = d[iu] + d[iv]
-                deg = np.concatenate([2 * d, ends]) if self.n_vertices > iu.size else ends - 2
-            else:
-                deg = _row_popcounts(self.rows())
+            deg = self.degrees_in(np.ones(self.n_vertices, dtype=bool))
             deg.setflags(write=False)
             self._deg = deg
         return self._deg
 
     def degrees_in(self, in_set: np.ndarray) -> np.ndarray:
         """Each vertex's neighbours in `in_set`, a bool mask by vertex id, as
-        int64: from what `degrees()` counts from, built rows or not."""
+        a fresh int64 array: from the class table or Γ's edges when the graph
+        keeps them, built rows or not, else by popcount over the rows."""
         if self._classes is not None:
             # a class row less a self-adjacent vertex's own bit
             c, class_rows, loop = self._classes
@@ -279,10 +268,9 @@ class LabeledGraph:
 
 def _row_popcounts(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Each row's set bits of packed uint8 `rows` as int64, popcounted into
-    `out` when given. A row under 2^13 bytes holds under 2^16 bits, so uint16
-    sums it exactly, about 1.7x as fast as int32, which holds any row."""
-    dtype = np.uint16 if rows.shape[1] < 1 << 13 else np.int32
-    return np.bitwise_count(rows, out=out).sum(axis=1, dtype=dtype).astype(np.int64)
+    `out` when given. int32 sums any row exactly that fits in memory, one of
+    under 2^28 bytes."""
+    return np.bitwise_count(rows, out=out).sum(axis=1, dtype=np.int32).astype(np.int64)
 
 
 def _label(a: int, b: int) -> VertexLabel:
@@ -388,8 +376,8 @@ def _edge_graphs(g: LabeledGraph, families: set[GraphFamily]) -> dict[GraphFamil
     """g's line graph, in which two edges are adjacent iff they share an
     endpoint, and its total graph, the one or both of them `families` asks
     for, keyed by family. Both keep g and its edge ends (`edge_ends`) as
-    `_base`, and count their degrees from g's and build their rows
-    (`_edge_rows`) from them on first use."""
+    `_base`, count from them and build their rows (`_edge_rows`) from them
+    on first use."""
     keys = g.keys()
     if (keys[:, 0] != keys[:, 1]).any():
         raise DomainError("line and total graphs need a residue-labeled graph, found EdgePair")

@@ -65,10 +65,16 @@ def gcd_sieve(n: int) -> np.ndarray:
 
     Every entry starts at 1, and for each prime power p^j dividing n every
     p^j-th entry, from 0, is multiplied by p: one strided multiply per prime
-    power in place of a gcd per residue. Raises DomainError for n < 2."""
-    factors = factorize(n).factors
-    g = np.ones(n, dtype=np.int64)
-    for p, e in factors:
+    power in place of a gcd per residue. Raises DomainError for n < 2, and
+    MemoryError, before any trial division, for an n whose array does not
+    fit: numpy's own, or in place of its ValueError past its largest array."""
+    if n < 2:
+        raise DomainError(f"gcd_sieve requires n >= 2, got {n}")
+    try:
+        g = np.ones(n, dtype=np.int64)
+    except ValueError as exc:
+        raise MemoryError(f"cannot allocate {n} int64 entries: {exc}") from None
+    for p, e in factorize(n).factors:
         for j in range(1, e + 1):
             g[::p ** j] *= p
     return g

@@ -1,7 +1,7 @@
 """The structure the builders keep, against the rows: a residue graph's
 divisor-class table and a line or total graph's Γ edges each give the
-counts `degrees_in` and `degrees` return, which must equal those a copy
-that keeps only the rows counts by popcount."""
+counts `degrees_in` returns, which must equal those a copy that keeps only
+the rows counts by popcount. `degrees` is `degrees_in` of every vertex."""
 import numpy as np
 
 from znvce import Bipartition, GraphFamily, LabeledGraph, check_bipartition, dispatch, is_vce
@@ -58,7 +58,8 @@ def test_class_edge_and_row_counts_agree_on_every_graph():
             masks = list(partitions(n, family, g, rng))
             got = [(g.degrees_in(m), check_bipartition(g, Bipartition(m))) for m in masks]
             deg = g.degrees()
-            # the two counts of the same structure cannot drift apart
+            # degrees() is degrees_in of every vertex by definition: this
+            # holds its mask to every vertex, the last one included
             assert deg.tolist() == g.degrees_in(np.ones(g.n_vertices, bool)).tolist(), (n, family)
             # every built graph counts from its structure without building
             # rows, except that gamma's were read for the line and total

@@ -26,6 +26,7 @@ from znvce import (
     graph_to_json,
     is_vce,
     partition_to_json,
+    rings,
     search,
     total_graph,
 )
@@ -640,6 +641,32 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("error: out of memory")
         assert str(exc) in captured.err
+
+    @pytest.mark.parametrize("n", [10**18 + 3, 10**30])
+    def test_huge_modulus_fails_before_factorizing(self, monkeypatch, capsys, n):
+        # the sieve's array comes before n's trial division, which for
+        # 10**18 + 3 ran on past 20 s; past numpy's largest array (n >= about
+        # 1.15e18) numpy raises ValueError, also one out-of-memory line
+        def no_trial_division(m):
+            raise AssertionError(f"factorize({m}) was called")
+        monkeypatch.setattr(rings, "factorize", no_trial_division)
+        for argv in (["construct", str(n)], ["build", str(n)], ["search", "--n", str(n)],
+                     ["survey", str(n), str(n)]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: out of memory")
+
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        # a bare open used to end in an IsADirectoryError or
+        # FileNotFoundError traceback, exit 1
+        for argv in (["build", "15", "--out", str(tmp_path)],
+                     ["survey", "2", "5", "--out", str(tmp_path / "missing" / "x.csv")]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_local_bad_seed_errors_without_traceback(self, capsys):
         for flags in (["--seed", "-1"], ["--restarts", "0"], ["--steps", "0"],
