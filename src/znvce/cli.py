@@ -72,11 +72,10 @@ def cmd_check(graph_path: str, partition_path: str) -> tuple[str, int]:
         return f"error: {exc}\n", 3
     report = check_bipartition(g, part)
     names = g.names()
-    lines = map("{} [{}]: inside {} outside {} {}\n".format,
-                names, map("RB".__getitem__, part.in_b.tolist()),
-                report.inside.tolist(), report.outside.tolist(),
-                [v.value for v in report.vertex_verdicts()])
-    text = "".join(lines) + f"partition verdict: {report.partition_verdict.value}\n"
+    text = "".join([f"{name} [{'RB'[b]}]: inside {i} outside {o} {verdict}\n"
+                    for name, b, i, o, verdict in zip(names, part.in_b.tolist(), report.inside.tolist(),
+                                                      report.outside.tolist(), report.verdict_texts())])
+    text += f"partition verdict: {report.partition_verdict.value}\n"
     if report.witnesses:
         text += "witnesses: " + " ".join(names[v] for v in report.witnesses) + "\n"
     code = 0 if report.partition_verdict is Verdict.VERY_COST_EFFECTIVE else 1

@@ -59,9 +59,10 @@ class LabeledGraph:
     `modulus` records the n the graph derives from and survives the
     line/total transforms. A built graph keeps what `degrees_in()` counts
     from in place of the rows: a residue graph its divisor-class table
-    (`_classes`), a line or total graph Γ and Γ's edge ends (`_base`).
-    `degrees()` is `degrees_in()` of every vertex. No other module reads how
-    a graph is stored.
+    (`_classes`), a line or total graph Γ and Γ's edge ends (`_base`); a
+    residue graph's `neighbors` and a line or total graph's `twins` read
+    them too. `degrees()` is `degrees_in()` of every vertex. No other module
+    reads how a graph is stored.
     """
 
     __slots__ = ("_keys", "_adj", "_rows", "modulus", "_deg", "_labels", "_id_of",
@@ -204,14 +205,37 @@ class LabeledGraph:
     def degree(self, v: int) -> int:
         return int(self.degrees()[v])
 
+    # A residue graph reads a vertex's row from its class table, its class
+    # row less its own bit, and builds no rows. range() raises IndexError for
+    # an id in a row's padding bits too.
     def neighbors(self, v: int) -> np.ndarray:
-        nv = self.n_vertices
-        return np.unpackbits(self.rows()[range(nv)[v]], count=nv).nonzero()[0]
+        v = range(self.n_vertices)[v]
+        if self._classes is None:
+            row = self.rows()[v]
+        else:
+            c, class_rows, _ = self._classes
+            row = class_rows[c[v]].copy()
+            row[v >> 3] &= _CLEAR_BIT[v & 7]
+        return np.unpackbits(row, count=self.n_vertices).nonzero()[0]
 
     def has_edge(self, u: int, v: int) -> bool:
-        # range() raises IndexError for an id in a row's padding bits too
         u, v = range(self.n_vertices)[u], range(self.n_vertices)[v]
-        return bool(self.rows()[u, v >> 3] & _BIT[v & 7])
+        if self._classes is None:
+            return bool(self.rows()[u, v >> 3] & _BIT[v & 7])
+        c, class_rows, _ = self._classes
+        return u != v and bool(class_rows[c[u], v >> 3] & _BIT[v & 7])
+
+    def twins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The twin classes of `search.twin_classes` (class id by vertex,
+        clique flag by class) and each class's smallest vertex. A line or
+        total graph whose Γ passes `_edge_twins`' guard takes them from Γ's
+        degrees, with no rows built; any other graph sorts its rows
+        (`_row_twins`)."""
+        found = None if self._base is None else _edge_twins(
+            *self._base, self.n_vertices - self._base[1].size)
+        rep, clique = _row_twins(self.rows()) if found is None else found
+        reps = (rep == np.arange(rep.size)).nonzero()[0]
+        return reps.searchsorted(rep), clique[reps], reps
 
     def edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The ends i < j of every edge as two intp arrays, in lexicographic
@@ -271,6 +295,66 @@ def _row_popcounts(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     `out` when given. int32 sums any row exactly that fits in memory, one of
     under 2^28 bytes."""
     return np.bitwise_count(rows, out=out).sum(axis=1, dtype=np.int32).astype(np.int64)
+
+
+def _row_twins(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vertex's smallest twin, and whether its class is a clique, from
+    the packed rows by one stable sort.
+
+    Slot v < |V| holds the open row of v, its packed row, slot |V| + v its
+    closed row (the open row with v's own bit set); each row is one
+    byte-string key. In sorted order a run of equal keys starts wherever two
+    neighbours differ, and since ties keep slot order, the first slot of a
+    run is its smallest. No open row equals a closed one, because
+    N(u) = N[v] would put u in N(u).
+    """
+    nv = packed.shape[0]
+    v = np.arange(nv)
+    rows = np.concatenate((packed, packed))
+    rows[nv + v, v >> 3] |= _BIT[v & 7]
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(2 * nv, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    run = np.empty(2 * nv, dtype=np.intp)
+    run[order] = np.cumsum(first) - 1
+    lead, size = order[first], np.bincount(run)
+    # a closed run of two or more is a clique class; every other vertex
+    # belongs to its open run, an independent class or a vertex alone
+    clique = size[run[nv:]] > 1
+    return np.where(clique, lead[run[nv:]] - nv, lead[run[:nv]]), clique
+
+
+def _edge_twins(g: LabeledGraph, iu: np.ndarray, iv: np.ndarray,
+                lead: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """`_row_twins` of g's line graph (`lead` 0) or total graph (`lead` |V|),
+    whose edges have the ends `iu`, `iv`, from g's degrees alone; None when
+    g has an edge with no end of degree 4 or more, or, for the total graph,
+    an isolated vertex (one leaves no trace in the line graph).
+
+    Past that guard (README, "Twin classes of the line and total graphs")
+    the total graph has no twins, and in the line graph the edges from a
+    vertex to its neighbours of degree 1 are closed twins, a clique class
+    when there are two or more; every other edge is a class of its own."""
+    deg = g.degrees()
+    du, dv = deg[iu], deg[iv]
+    if (lead and not deg.all()) or (np.maximum(du, dv) < 4).any():
+        return None
+    rep = np.arange(lead + iu.size)
+    clique = np.zeros(rep.size, dtype=bool)
+    if lead:
+        return rep, clique
+    # a pendant edge's centre is its end of degree over 1; the pendant
+    # edges at one centre are led by the first of them
+    centre = np.where(du == 1, iv, np.where(dv == 1, iu, -1))
+    pendant = (centre >= 0).nonzero()[0]
+    at = centre[pendant]
+    first = np.full(g.n_vertices, rep.size)
+    np.minimum.at(first, at, pendant)
+    rep[pendant] = first[at]
+    clique[pendant] = np.bincount(at, minlength=g.n_vertices)[at] > 1
+    return rep, clique
 
 
 def _label(a: int, b: int) -> VertexLabel:

@@ -12,7 +12,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError
-from .graphs import _BIT, LabeledGraph, VertexLabel
+from .graphs import LabeledGraph, VertexLabel
 from .vce import Bipartition
 
 DEFAULT_VERTEX_CAP = 26
@@ -407,37 +407,6 @@ def _climb(a2: np.ndarray, s: np.ndarray,
     return int(counts[: win + 1].sum()), win_b
 
 
-def _twins(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """twin_classes, plus each class's smallest vertex, from one stable sort.
-
-    Slot v < |V| holds the open row of v, g's packed row, slot |V| + v its
-    closed row (the open row with v's own bit set); each row is one
-    byte-string key. In sorted order a run of equal keys starts wherever two
-    neighbours differ, and since ties keep slot order, the first slot of a
-    run is its smallest. No open row equals a closed one, because
-    N(u) = N[v] would put u in N(u).
-    """
-    nv = g.n_vertices
-    v = np.arange(nv)
-    packed = g.rows()
-    rows = np.concatenate((packed, packed))
-    rows[nv + v, v >> 3] |= _BIT[v & 7]
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.ones(2 * nv, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    run = np.empty(2 * nv, dtype=np.intp)
-    run[order] = np.cumsum(first) - 1
-    lead, size = order[first], np.bincount(run)
-    # a closed run of two or more is a clique class; every other vertex
-    # belongs to its open run, an independent class or a vertex alone
-    clique = size[run[nv:]] > 1
-    rep = np.where(clique, lead[run[nv:]] - nv, lead[run[:nv]])
-    reps = np.flatnonzero(rep == v)
-    return np.searchsorted(reps, rep), clique[reps], reps
-
-
 def twin_classes(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     """Vertices with equal neighbourhoods, as (class id per vertex, per class
     whether it is a clique).
@@ -445,10 +414,12 @@ def twin_classes(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
     Independent classes are open twins, N(u) = N(v); clique classes are
     closed twins, N[u] = N[v]. No vertex has twins of both kinds, and no
     open neighbourhood equals a closed one. A vertex with no twin is a class
-    of its own (not a clique). Classes are numbered by their smallest vertex,
-    and one stable sort of the packed open and closed rows finds them exactly.
+    of its own (not a clique). Classes are numbered by their smallest vertex.
+    `LabeledGraph.twins` finds them exactly: from Γ's degrees for most line
+    and total graphs, else by one stable sort of the packed open and closed
+    rows.
     """
-    return _twins(g)[:2]
+    return g.twins()[:2]
 
 
 def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
@@ -472,10 +443,12 @@ def class_search(g: LabeledGraph, max_vectors: int) -> SearchOutcome:
     out = _unsearched(g, t0)
     if out is not None:
         return out
-    cls, clique, reps = _twins(g)
+    cls, clique, reps = g.twins()
     size = np.bincount(cls)
     radix = np.where(clique, size + 1, 2)
-    space = prod(radix.tolist())
+    # one shift for the radix-2 classes: a product over hundreds of
+    # thousands of them, one bignum at a time, takes seconds
+    space = prod(radix[clique].tolist()) << int(np.count_nonzero(~clique))
     if space > max_vectors:
         return SearchOutcome(SearchStatus.INCONCLUSIVE, None, 0, perf_counter() - t0,
                              reason=f"{size.size} twin classes span {_decimal(space)} "

@@ -83,6 +83,7 @@ class Bipartition:
 
 # a vertex's verdict by the sign of inside - outside, plus one; best first
 _BY_SIGN = (Verdict.VERY_COST_EFFECTIVE, Verdict.COST_EFFECTIVE_ONLY, Verdict.NOT_COST_EFFECTIVE)
+_TEXT_BY_SIGN = tuple(v.value for v in _BY_SIGN)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +102,16 @@ class VceReport:
     partition_verdict: Verdict
     witnesses: tuple[int, ...]
 
+    def _signs(self) -> list[int]:
+        return (np.sign(self.inside - self.outside) + 1).tolist()
+
     def vertex_verdicts(self) -> list[Verdict]:
         """Each vertex's verdict, by id."""
-        signs = np.sign(self.inside - self.outside) + 1
-        return list(map(_BY_SIGN.__getitem__, signs.tolist()))
+        return list(map(_BY_SIGN.__getitem__, self._signs()))
+
+    def verdict_texts(self) -> list[str]:
+        """Each vertex's verdict as its `Verdict.value` text, by id."""
+        return list(map(_TEXT_BY_SIGN.__getitem__, self._signs()))
 
 
 def _validate(g: LabeledGraph, part: Bipartition) -> None:

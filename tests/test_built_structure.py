@@ -1,16 +1,32 @@
 """The structure the builders keep, against the rows: a residue graph's
 divisor-class table and a line or total graph's Γ edges each give the
 counts `degrees_in` returns, which must equal those a copy that keeps only
-the rows counts by popcount. `degrees` is `degrees_in` of every vertex."""
+the rows counts by popcount. `degrees` is `degrees_in` of every vertex. A
+line or total graph's twin classes, taken from Γ's degrees, must equal
+those the copy sorts from its rows."""
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from znvce import Bipartition, GraphFamily, LabeledGraph, check_bipartition, dispatch, is_vce
+from znvce import (
+    Bipartition,
+    GraphFamily,
+    LabeledGraph,
+    Residue,
+    check_bipartition,
+    dispatch,
+    is_vce,
+    line_graph,
+    total_graph,
+)
 from znvce.constructions import _route
 from znvce.graphs import family_graphs
 from znvce.rings import modulus_shape
-from znvce.search import twin_classes
+from znvce.search import DEFAULT_VERTEX_CAP, twin_classes
 
 RESIDUE = (GraphFamily.GAMMA, GraphFamily.NILRADICAL, GraphFamily.OMEGA)
+EDGE = (GraphFamily.LINE_OF_GAMMA, GraphFamily.TOTAL_OF_GAMMA)
 
 
 def definition(n: int, g: LabeledGraph) -> np.ndarray:
@@ -102,6 +118,18 @@ def test_a_routed_dispatch_builds_no_rows():
     # 4641 = 3 * 7 * 13 * 17: 2336 vertices, whose rows would take 666 KiB
     g = dispatch(4641, GraphFamily.GAMMA).graph
     assert g.n_vertices == 2336 and g._rows is None
+    # an unrouted line or total graph past the cap goes to the twin-class
+    # search, whose classes come from Γ's degrees and whose space is over
+    # the budget: its rows are never built either
+    unrouted = 0
+    for n in range(2, 201):
+        for family, g in family_graphs(n, EDGE).items():
+            if g.n_vertices <= DEFAULT_VERTEX_CAP or _route(modulus_shape(n), family):
+                continue
+            assert dispatch(n, family, graph=g) is None, (n, family)
+            assert g._rows is None, (n, family)
+            unrouted += 1
+    assert unrouted > 150
 
 
 def test_divisor_classes_lie_inside_twin_classes():
@@ -126,3 +154,133 @@ def test_divisor_classes_lie_inside_twin_classes():
     assert len(coarser) == 82
     assert not [p for p in coarser if p[1] == "gamma"]
     assert coarser[:3] == [(24, "omega"), (36, "nilradical"), (36, "omega")]
+
+
+def row_sorted_twins(g: LabeledGraph) -> list[list]:
+    """g's twin classes as a copy that keeps only g's rows sorts them."""
+    copy = LabeledGraph._from_keys(g.keys().copy(), g.rows().copy(), g.modulus)
+    assert copy._classes is None and copy._base is None
+    return [a.tolist() for a in copy.twins()]
+
+
+def twins_and_source(g: LabeledGraph) -> tuple[list[list], bool]:
+    """g's twin classes, and whether they came from Γ's degrees: the row sort
+    builds the rows, the closed form does not."""
+    assert g._rows is None
+    got = [a.tolist() for a in g.twins()]
+    return got, g._rows is None
+
+
+def test_edge_graph_twins_equal_the_row_sort():
+    closed = 0
+    for n in range(2, 401):
+        for family, g in family_graphs(n, EDGE).items():
+            got, from_degrees = twins_and_source(g)
+            assert got == row_sorted_twins(g), (n, family)
+            closed += from_degrees
+    # Γ(Z_n) is connected and, past n = 9, has an end of degree 4 or more on
+    # every edge but for a handful of moduli
+    assert closed > 760
+
+
+def residue_graph(nv: int, edges) -> LabeledGraph:
+    adj = np.zeros((nv, nv), dtype=bool)
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = True
+    return LabeledGraph([Residue(k + 1) for k in range(nv)], adj)
+
+
+# components on vertices 0.. whose edges do not all have an end of degree 4
+# or more. Each line graph of theirs has twins that are not pendant edges at
+# one centre: L(K3) = K3 is one clique of non-pendant edges, L(K4) has three
+# open pairs (opposite edges), L(C4) = C4 two. In the pendant triangle hung
+# on a hub of degree 5, the hub's two triangle edges are closed twins
+LOW = {
+    "K2": (2, [(0, 1)]),
+    "P3": (3, [(0, 1), (1, 2)]),
+    "K3": (3, [(0, 1), (0, 2), (1, 2)]),
+    "C4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "K4": (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    "pendant triangle": (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)]),
+}
+# isolated vertices, open twins in the total graph; the line graph has no
+# trace of them, so only the total graph's guard refuses them
+ISOLATED = {
+    "isolated vertex": (1, []),
+    "two isolated vertices": (2, []),
+}
+
+
+def star(leaves: int) -> tuple[int, list]:
+    return 1 + leaves, [(0, i) for i in range(1, 1 + leaves)]
+
+
+def union(*parts) -> LabeledGraph:
+    """The disjoint union of (vertex count, edges) parts, in order."""
+    nv, edges = 0, []
+    for size, es in parts:
+        edges += [(i + nv, j + nv) for i, j in es]
+        nv += size
+    return residue_graph(nv, edges)
+
+
+@pytest.mark.parametrize("name", list(LOW) + list(ISOLATED))
+def test_the_guard_sends_low_degree_components_to_the_row_sort(name):
+    # beside a star of 5 leaves, which alone passes the guard, every such
+    # component still sends the total graph, and but for isolated vertices
+    # the line graph, to the row sort
+    part = LOW.get(name) or ISOLATED[name]
+    for base in (union(part), union(star(5), part)):
+        for g, refused in ((line_graph(base), name in LOW), (total_graph(base), True)):
+            got, from_degrees = twins_and_source(g)
+            assert from_degrees is not refused, name
+            assert got == row_sorted_twins(g), name
+
+
+def test_twins_past_the_guard():
+    # two stars and a vertex joined to all of K5: L has one clique class per
+    # star, of its pendant edges, and every K6 edge alone; T has no twins
+    base = union(star(5), star(4), (6, [(i, j) for i in range(6) for j in range(i + 1, 6)]))
+    lg, tg = line_graph(base), total_graph(base)
+    (cls, clique, reps), from_degrees = twins_and_source(lg)
+    assert from_degrees and [cls, clique, reps] == row_sorted_twins(lg)
+    assert cls[:9] == [0] * 5 + [1] * 4 and clique[:2] == [True, True]
+    assert len(reps) == 2 + 15 and not any(clique[2:])
+    (cls, clique, reps), from_degrees = twins_and_source(tg)
+    assert from_degrees and [cls, clique, reps] == row_sorted_twins(tg)
+    assert cls == reps == list(range(tg.n_vertices)) and not any(clique)
+
+
+@st.composite
+def component_unions(draw):
+    """Disjoint unions of up to four components, shuffled: the LOW and
+    ISOLATED shapes, stars of 1 to 6 leaves, and graphs on 5 to 8 vertices
+    in which vertex 0 sees every other and the rest are joined at random."""
+    shapes = {**LOW, **ISOLATED}
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["low", "star", "hub"]))
+        if kind == "low":
+            parts.append(shapes[draw(st.sampled_from(sorted(shapes)))])
+        elif kind == "star":
+            parts.append(star(draw(st.integers(1, 6))))
+        else:
+            m = draw(st.integers(5, 8))
+            pairs = [(i, j) for i in range(1, m) for j in range(i + 1, m)]
+            joined = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            parts.append((m, [(0, i) for i in range(1, m)]
+                          + [p for p, j in zip(pairs, joined) if j]))
+    g = union(*parts)
+    perm = np.array(draw(st.permutations(range(g.n_vertices))))
+    return residue_graph(g.n_vertices, [(perm[i], perm[j]) for i, j in g.edges()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_unions())
+def test_edge_graph_twins_equal_the_row_sort_on_residue_graphs(base):
+    low = any(max(base.degree(i), base.degree(j)) < 4 for i, j in base.edges())
+    isolated = bool((base.degrees() == 0).any())
+    for g, refused in ((line_graph(base), low), (total_graph(base), low or isolated)):
+        got, from_degrees = twins_and_source(g)
+        assert from_degrees is not refused
+        assert got == row_sorted_twins(g)

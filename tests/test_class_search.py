@@ -202,9 +202,9 @@ class TestClassSearch:
 
     def test_isolated_vertex_is_answered_before_the_classes(self, monkeypatch):
         # omega(420) has 48 isolated vertices among 2 097 152 class vectors
-        def no_classes(adj):
+        def no_classes(g):
             raise AssertionError("computed the classes of a graph with an isolated vertex")
-        monkeypatch.setattr(search, "_twins", no_classes)
+        monkeypatch.setattr(LabeledGraph, "twins", no_classes)
         out = class_search(build_family(420, GraphFamily.OMEGA), 1 << 25)
         assert out.status is SearchStatus.NONE_EXISTS and out.partitions_examined == 0
         assert out.reason == "isolated vertex 2"

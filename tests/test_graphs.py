@@ -640,6 +640,21 @@ def test_neighbors_and_has_edge_read_rows_not_adj():
     assert padded > 50
 
 
+def test_residue_neighbors_and_has_edge_read_the_class_table():
+    # a residue graph's row is its class row less its own bit: no rows built
+    for n in range(2, 201):
+        for family, g in family_graphs(n, (GraphFamily.GAMMA, GraphFamily.NILRADICAL,
+                                           GraphFamily.OMEGA)).items():
+            a, nv = ref_residue_adj(n, residues(g)), g.n_vertices
+            for u in range(nv):
+                nb = g.neighbors(u)
+                assert nb.tolist() == np.flatnonzero(a[u]).tolist(), (n, family, u)
+                # its own bit, its neighbours' and the ids on either side of it
+                for v in {u, (u + 1) % nv, u - 1, *nb[:3].tolist()}:
+                    assert g.has_edge(u, v) == a[u, v], (n, family, u, v)
+            assert g._rows is None, (n, family)
+
+
 def test_zero_divisors_are_the_gamma_vertices():
     for n in (12, 16, 30, 72, 210):
         assert residues(gamma(n)) == zero_divisors(n).tolist()

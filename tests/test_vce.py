@@ -140,7 +140,8 @@ def test_check_rejects_size_mismatch():
 
 def _report_tuples(rep) -> tuple:
     """The report's counts and verdicts in ref_tallies' shape."""
-    verdicts = [v.value for v in rep.vertex_verdicts()]
+    verdicts = rep.verdict_texts()
+    assert verdicts == [v.value for v in rep.vertex_verdicts()]
     return tuple(zip(range(rep.inside.size), rep.inside.tolist(), rep.outside.tolist(),
                      verdicts))
 
