@@ -14,12 +14,14 @@ from .constructions import (
     Exists,
     NotVce,
     dispatch,
+    vce_line_4q,
     vce_line_pq,
     vce_nilradical,
     vce_omega_squarefree,
     vce_p2q,
     vce_p2q2,
     vce_squarefree,
+    vce_total_4q,
     vce_total_pq,
 )
 from .errors import (

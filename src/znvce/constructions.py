@@ -44,6 +44,8 @@ class ConstructionId(Enum):
     THM3_3IV_P2Q_NIL = "Thm3_3iv_P2Q_Nil"
     THM3_5_OMEGA_SQUAREFREE = "Thm3_5_OmegaSquarefree"
     THM4_2_TOTAL_PQ = "Thm4_2_TotalPQ"
+    LINE_4Q = "Line4Q"
+    TOTAL_4Q = "Total4Q"
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,22 +67,31 @@ class Exists:
 
 @dataclass(frozen=True, eq=False)
 class NotVce:
-    """Proof that no very-cost-effective bipartition exists."""
+    """Proof that no very-cost-effective bipartition exists.
+
+    An isolated vertex is checked against the graph. An exhausted search is
+    checked for consistency only: `brute_force`, its one source, examines
+    every bipartition but the all-R one, 2^(|V| - 1) - 1 in all, and any
+    other count is refused. The search itself is not replayed."""
 
     graph: LabeledGraph
     witness: IsolatedVertex | ExhaustedSearch
 
     def __post_init__(self):
         w = self.witness
+        nv = self.graph.n_vertices
         if isinstance(w, IsolatedVertex):
             # a negative id would wrap around to a vertex from the end
-            if not 0 <= w.vertex < self.graph.n_vertices:
+            if not 0 <= w.vertex < nv:
                 raise ConstructionError(f"witness vertex id {w.vertex} is out of range")
             if self.graph.degree(w.vertex) != 0:
                 raise ConstructionError(
                     f"claimed isolated vertex {w.label.render()} has neighbors")
             if self.graph.label(w.vertex) != w.label:
                 raise ConstructionError("witness label does not match its vertex id")
+        elif w.partitions_examined != (whole := max(0, (1 << nv) // 2 - 1)):
+            raise ConstructionError(f"an exhaustive search of {nv} vertices examines "
+                                    f"{whole} bipartitions, not {w.partitions_examined}")
 
 
 Certificate = Union[Exists, NotVce]
@@ -151,13 +162,30 @@ def _total_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
     return Bipartition(~in_r)
 
 
+def _4q_split(g: LabeledGraph, s: ModulusShape) -> Bipartition:
+    # n = 4q: B holds the residues q does not divide (classes 2 and 4) and
+    # each edge from a residue 4i to 2q, to q when i is odd, or to 3q when i
+    # is even; every other vertex is on R (README, "Line and total graphs of
+    # Γ(Z_4q)"). No edge joins two multiples of 4, so x, the end 4 divides
+    # when there is one, is well defined
+    a, b = g.keys().T
+    q = s.q
+    a_is_x = a % 4 == 0
+    x, y = np.where(a_is_x, a, b), np.where(a_is_x, b, a)
+    edge_on_b = (x % 4 == 0) & ((y == 2 * q) | (y == np.where(x % 8 == 4, q, 3 * q)))
+    return Bipartition(np.where(a == b, a % q != 0, edge_on_b))
+
+
 class _Row(NamedTuple):
     """One construction: the graphs it covers and the split it applies.
 
     It covers the `family` graph of every n whose shape has kind `kind`, and
     exactly `primes` distinct primes when that is not None. `p2_refusal` is
-    the reason p = 2 (the shape's p) is left out, or None when it is not.
-    `split` makes the partition from the graph and the shape.
+    the reason p = 2 (the shape's p) is left out, or None when it is not;
+    `p2_only` covers p = 2 alone. `split` makes the partition from the graph
+    and the shape. A `past_cap_only` row applies in `dispatch` only to a
+    graph with more vertices than the vertex cap, so that a graph that search
+    decides within the cap keeps its search answer; the builders ignore it.
     """
 
     family: GraphFamily
@@ -166,6 +194,8 @@ class _Row(NamedTuple):
     p2_refusal: str | None
     split: Callable[[LabeledGraph, ModulusShape], Bipartition]
     cid: ConstructionId
+    p2_only: bool = False
+    past_cap_only: bool = False
 
 
 _F, _K, _C = GraphFamily, ShapeKind, ConstructionId
@@ -197,18 +227,30 @@ _TABLE = (
     _Row(_F.TOTAL_OF_GAMMA, _K.SQUAREFREE_COMPOSITE, 2,
          "p = 2 total graphs are never very cost effective; no construction",
          _total_split, _C.THM4_2_TOTAL_PQ),
+    # search decides line-of-gamma 12, 20 and 28 and total-of-gamma 12
+    # within the cap, and those answers stay
+    _Row(_F.LINE_OF_GAMMA, _K.P_SQUARED_Q, None, None, _4q_split, _C.LINE_4Q,
+         p2_only=True, past_cap_only=True),
+    _Row(_F.TOTAL_OF_GAMMA, _K.P_SQUARED_Q, None, None, _4q_split, _C.TOTAL_4Q,
+         p2_only=True, past_cap_only=True),
 )
 
 
 def _row(shape: ModulusShape, family: GraphFamily) -> _Row | None:
     """The first row that covers (shape, family), whether or not it refuses p = 2."""
     return next((r for r in _TABLE if r.family is family and r.kind is shape.kind
-                 and r.primes in (None, len(shape.primes))), None)
+                 and r.primes in (None, len(shape.primes))
+                 and (not r.p2_only or shape.p == 2)), None)
 
 
-def _route(shape: ModulusShape, family: GraphFamily) -> tuple[Callable, ConstructionId] | None:
+def _route(shape: ModulusShape, family: GraphFamily,
+           past_cap: bool = True) -> tuple[Callable, ConstructionId] | None:
+    """The split and id that apply to (shape, family), for a graph past the
+    vertex cap when `past_cap` (the builders' view, which ignores the cap);
+    None when no row covers it, or its row refuses p = 2 or waits for the cap."""
     row = _row(shape, family)
-    if row is None or (row.p2_refusal is not None and shape.p == 2):
+    if (row is None or (row.p2_refusal is not None and shape.p == 2)
+            or (row.past_cap_only and not past_cap)):
         return None
     return row.split, row.cid
 
@@ -276,6 +318,26 @@ def vce_total_pq(p: int, q: int) -> Bipartition:
     return _construct(p * q, GraphFamily.TOTAL_OF_GAMMA)
 
 
+def _require_odd_prime(q: int) -> None:
+    if not (q > 2 and is_prime(q)):
+        raise ShapeError(f"{q} is not an odd prime")
+
+
+def vce_line_4q(q: int) -> Bipartition:
+    """Split of the line graph of the zero-divisor graph of 4q, q an odd
+    prime: each edge from a multiple 4i of 4 to 2q, and to q or 3q as i is
+    odd or even, on B; every other edge on R."""
+    _require_odd_prime(q)
+    return _construct(4 * q, GraphFamily.LINE_OF_GAMMA, ShapeKind.P_SQUARED_Q)
+
+
+def vce_total_4q(q: int) -> Bipartition:
+    """The line graph's split of 4q, q an odd prime, with the residues that
+    q does not divide on B and the multiples of q on R."""
+    _require_odd_prime(q)
+    return _construct(4 * q, GraphFamily.TOTAL_OF_GAMMA, ShapeKind.P_SQUARED_Q)
+
+
 def certify(g: LabeledGraph, out: SearchOutcome) -> Certificate | None:
     """The certificate of the search outcome `out` on g: `Exists` for a found
     partition, verified as every partition is; `NotVce` for a witness that
@@ -287,7 +349,8 @@ def certify(g: LabeledGraph, out: SearchOutcome) -> Certificate | None:
 
 def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, *,
              graph: LabeledGraph | None = None) -> Certificate | None:
-    """Certificate for (n, family): the construction when one applies, else
+    """Certificate for (n, family): the construction when one applies (a
+    past-cap-only one to a graph of more than `vertex_cap` vertices), else
     the certificate of `search.exact_search(g, vertex_cap)`. None means that
     search found no partition and handed over no witness that none exists.
 
@@ -298,7 +361,7 @@ def dispatch(n: int, family: GraphFamily, vertex_cap: int = DEFAULT_VERTEX_CAP, 
     if g.n_vertices == 0:
         raise DomainError(f"the {family.value} graph of {n} is empty; no bipartition possible")
     shape = modulus_shape(n)
-    route = _route(shape, family)
+    route = _route(shape, family, g.n_vertices > vertex_cap)
     if route is not None:
         split, cid = route
         return Exists(g, split(g, shape), source=cid)

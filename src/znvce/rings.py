@@ -1,10 +1,11 @@
 """Exact arithmetic over Z_n: factorization, zero divisors, nilpotents, shape classification."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
@@ -36,14 +37,34 @@ class Factorization:
         return all(e == 1 for e in self.exponents)
 
 
+# trial division tries every d below _TRIAL_LIMIT; a cofactor left over has
+# no prime factor below it, so one under its square is prime
+_TRIAL_LIMIT = 1 << 10
+# Miller-Rabin on the first 13 primes as bases decides every m below
+# _MR_EXACT_BELOW exactly (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+# steps y -> y^2 + c that Pollard-Brent rho may take in one factorize call,
+# over every restart and cofactor (about 0.1 s on a 2-core Xeon). rho meets
+# a prime factor p in about sqrt(p) steps: each of 400 products of two
+# primes in [5 * 10^8, 10^9] split well within it
+_RHO_STEPS = 1 << 18
+# rho multiplies this many differences together between two gcds
+_RHO_BATCH = 128
+
+
 def factorize(n: int) -> Factorization:
-    """Trial division; moduli here are desk scale, nothing fancier is warranted."""
+    """Trial division by every d below _TRIAL_LIMIT; a cofactor left over is
+    told prime by Miller-Rabin and split by Pollard-Brent rho. Raises
+    DomainError for n < 2, for a cofactor that rho cannot split within
+    _RHO_STEPS steps, and for one past _MR_EXACT_BELOW that Miller-Rabin
+    cannot show composite: each ends in bounded time."""
     if n < 2:
         raise DomainError(f"factorize requires n >= 2, got {n}")
-    m = n
+    m = operator.index(n)
     factors = []
     d = 2
-    while d * d <= m:
+    while d < _TRIAL_LIMIT and d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
@@ -51,13 +72,98 @@ def factorize(n: int) -> Factorization:
                 e += 1
             factors.append((d, e))
         d += 1 if d == 2 else 2
-    if m > 1:
+    # no prime below d divides m, so m < d^2 is 1 or a prime
+    if m >= d * d:
+        large = _large_factors(m, d)
+        factors += [(p, large.count(p)) for p in sorted(set(large))]
+    elif m > 1:
         factors.append((m, 1))
     return Factorization(n, tuple(factors))
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n).factors == ((n, 1),)
+    """Exact below _MR_EXACT_BELOW, and DomainError past it for an n that
+    Miller-Rabin cannot show composite."""
+    if n < 2:
+        return False
+    n = operator.index(n)
+    d = 2
+    while d < _TRIAL_LIMIT and d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1 if d == 2 else 2
+    return _prime_cofactor(n, d)
+
+
+def _large_factors(m: int, d: int) -> list[int]:
+    """The prime factors of m, which no prime below d divides, with their
+    multiplicity, from Miller-Rabin and at most _RHO_STEPS steps of rho."""
+    large, budget, todo = [], _RHO_STEPS, [m]
+    while todo:
+        m = todo.pop()
+        if _prime_cofactor(m, d):
+            large.append(m)
+        else:
+            f, budget = _rho(m, budget)
+            todo += [f, m // f]
+    return large
+
+
+def _prime_cofactor(m: int, d: int) -> bool:
+    """Whether m > 1, which no prime below d divides, is prime."""
+    if m < d * d:
+        return True
+    # m - 1 = 2^s * t with t odd; m is composite if some base a has
+    # a^t != 1 and a^(2^i t) != -1 for every i < s
+    s = ((m - 1) & (1 - m)).bit_length() - 1
+    t = (m - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, t, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    if m >= _MR_EXACT_BELOW:
+        raise DomainError(f"cannot decide exactly whether the factor {m} is prime: "
+                          f"it is {_MR_EXACT_BELOW} or more")
+    return True
+
+
+def _rho(m: int, budget: int) -> tuple[int, int]:
+    """A proper factor of m, an odd composite, by Pollard-Brent rho, and the
+    steps left of `budget`; DomainError when the steps run out first."""
+    for c in range(1, m):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if budget < 2 * r:
+                raise DomainError(f"cannot factorize {m} within {_RHO_STEPS} rho steps")
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            for k in range(0, r, _RHO_BATCH):
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = gcd(q, m)
+                if g != 1:
+                    break
+            r *= 2
+        if g == m:
+            # the batch that met m: its steps again, one gcd each, find the
+            # first that meets a factor, within the batch
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = gcd(abs(x - ys), m)
+        if g != m:
+            return g, budget
+    raise DomainError(f"cannot factorize {m}")
 
 
 def gcd_sieve(n: int) -> np.ndarray:

@@ -4,6 +4,8 @@ counts `degrees_in` returns, which must equal those a copy that keeps only
 the rows counts by popcount. `degrees` is `degrees_in` of every vertex. A
 line or total graph's twin classes, taken from Γ's degrees, must equal
 those the copy sorts from its rows."""
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from znvce import (
     Bipartition,
+    ConstructionId,
     GraphFamily,
     LabeledGraph,
     Residue,
@@ -115,6 +118,17 @@ def test_a_routed_dispatch_builds_no_rows():
             assert np.array_equal(g.rows(), np.packbits(definition(n, g), axis=1)), (n, family)
             routed += 1
     assert routed > 100
+    # a line or total graph past the cap is verified from Γ's edge ends
+    # alone, the pq and the 4q rows alike
+    sources = Counter()
+    for n in range(2, 201):
+        for family, g in family_graphs(n, EDGE).items():
+            if g.n_vertices <= DEFAULT_VERTEX_CAP or _route(modulus_shape(n), family) is None:
+                continue
+            sources[dispatch(n, family, graph=g).source] += 1
+            assert g._rows is None, (n, family)
+    assert sources[ConstructionId.LINE_4Q] == 11 and sources[ConstructionId.TOTAL_4Q] == 13
+    assert None not in sources and sum(sources.values()) == 97
     # 4641 = 3 * 7 * 13 * 17: 2336 vertices, whose rows would take 666 KiB
     g = dispatch(4641, GraphFamily.GAMMA).graph
     assert g.n_vertices == 2336 and g._rows is None

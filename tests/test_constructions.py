@@ -7,6 +7,7 @@ from znvce import (
     ConstructionError,
     ConstructionId,
     DomainError,
+    EdgePair,
     ExhaustedSearch,
     Exists,
     GraphFamily,
@@ -21,21 +22,25 @@ from znvce import (
     dispatch,
     exact_search,
     gamma,
+    is_prime,
     is_vce,
     isolated_obstruction,
     line_graph,
     nilradical_graph,
     non_nilradical_graph,
     total_graph,
+    vce_line_4q,
     vce_line_pq,
     vce_nilradical,
     vce_omega_squarefree,
     vce_p2q,
     vce_p2q2,
     vce_squarefree,
+    vce_total_4q,
     vce_total_pq,
 )
 from znvce import constructions, search
+from znvce.cli import cmd_survey
 
 
 class TestSquarefree:
@@ -275,6 +280,62 @@ class TestTotalPQ:
                 vce_total_pq(p, q)
 
 
+ODD_PRIMES_TO_997 = [q for q in range(3, 998) if is_prime(q)]
+
+
+class TestFourQ:
+    """The line and total graph splits of Γ(Z_4q), q an odd prime."""
+
+    def test_every_odd_prime_to_997(self):
+        assert len(ODD_PRIMES_TO_997) == 167
+        for q in ODD_PRIMES_TO_997:
+            for family, build in ((GraphFamily.LINE_OF_GAMMA, vce_line_4q),
+                                  (GraphFamily.TOTAL_OF_GAMMA, vce_total_4q)):
+                assert is_vce(build_family(4 * q, family), build(q)), (q, family)
+
+    def test_sides_of_20(self):
+        g = line_graph(gamma(20))
+        b = {g.labels[v] for v in vce_line_4q(5).b_ids.tolist()}
+        # 4i to 10, and to 5 for i = 1, 3 and to 15 for i = 2, 4
+        assert b == {EdgePair(4, 10), EdgePair(8, 10), EdgePair(10, 12), EdgePair(10, 16),
+                     EdgePair(4, 5), EdgePair(5, 12), EdgePair(8, 15), EdgePair(15, 16)}
+        t = total_graph(gamma(20))
+        part = vce_total_4q(5)
+        on_b = {t.labels[v] for v in part.b_ids.tolist()}
+        assert sorted(lab.k for lab in on_b if isinstance(lab, Residue)) == [
+            2, 4, 6, 8, 12, 14, 16, 18]
+        assert {lab for lab in on_b if isinstance(lab, EdgePair)} == b
+
+    @pytest.mark.parametrize("build", [vce_line_4q, vce_total_4q])
+    def test_rejects_q_that_is_not_an_odd_prime(self, build):
+        for q in (2, 1, 0, -3, 9, 15, 25):
+            with pytest.raises(ShapeError):
+                build(q)
+
+    def test_search_keeps_the_rows_it_decides_within_the_cap(self):
+        # golden VCE-by-search rows: line-of-gamma 12, 20, 28, total-of-gamma 12
+        for n, family in ((12, GraphFamily.LINE_OF_GAMMA), (20, GraphFamily.LINE_OF_GAMMA),
+                          (28, GraphFamily.LINE_OF_GAMMA), (12, GraphFamily.TOTAL_OF_GAMMA)):
+            cert = dispatch(n, family)
+            assert cert.graph.n_vertices <= search.DEFAULT_VERTEX_CAP
+            assert isinstance(cert, Exists) and cert.source is None, (n, family)
+            # past a smaller cap, the table applies
+            cert = dispatch(n, family, vertex_cap=cert.graph.n_vertices - 1)
+            assert cert.source in (ConstructionId.LINE_4Q, ConstructionId.TOTAL_4Q)
+
+    def test_every_4q_row_past_the_cap_to_400_is_constructed(self):
+        seen, qs = 0, [q for q in ODD_PRIMES_TO_997 if 4 * q <= 400]
+        for q in qs:
+            for family, cid in ((GraphFamily.LINE_OF_GAMMA, ConstructionId.LINE_4Q),
+                                (GraphFamily.TOTAL_OF_GAMMA, ConstructionId.TOTAL_4Q)):
+                cert = dispatch(4 * q, family)
+                if cert.graph.n_vertices > search.DEFAULT_VERTEX_CAP:
+                    assert isinstance(cert, Exists) and cert.source is cid, (q, family)
+                    seen += 1
+        # all but the four rows that search keeps within the cap
+        assert seen == 2 * len(qs) - 4 == 44
+
+
 class TestDispatch:
     def test_gamma_routes(self):
         cases = [
@@ -412,6 +473,24 @@ class TestCertificateValidation:
             with pytest.raises(ConstructionError, match="out of range"):
                 NotVce(g, IsolatedVertex(v, Residue(10)))
 
+    def test_notvce_rejects_a_false_exhausted_search_count(self):
+        # gamma(15) is very cost effective; an exhaustive search of its 6
+        # vertices would have examined 31 bipartitions
+        g = gamma(15)
+        assert isinstance(dispatch(15, GraphFamily.GAMMA), Exists)
+        for count in (1, 30, 32, 63):
+            with pytest.raises(ConstructionError, match="examines 31 bipartitions"):
+                NotVce(g, ExhaustedSearch(count))
+
+    def test_every_exhausted_search_row_of_the_survey_certifies(self):
+        rows = [r.split(",") for r in cmd_survey(2, 120).splitlines()[1:]]
+        exhausted = [(int(n), fam) for n, fam, *_, src in rows if src == "exhausted-search"]
+        assert len(exhausted) == 20
+        for n, fam in exhausted:
+            cert = dispatch(n, fam)
+            whole = (1 << (cert.graph.n_vertices - 1)) - 1
+            assert cert.witness == ExhaustedSearch(whole), (n, fam)
+
     def test_notvce_accepts_true_witness(self):
         g = non_nilradical_graph(12)
         cert = NotVce(g, IsolatedVertex(0, Residue(2)))
@@ -429,6 +508,8 @@ def _lone_first_vertex(g, *args):
     ("_balanced_split", 49, GraphFamily.NILRADICAL, lambda: vce_nilradical(49)),
     ("_p3_split", 125, GraphFamily.NILRADICAL, lambda: vce_nilradical(125)),
     ("_total_split", 15, GraphFamily.TOTAL_OF_GAMMA, lambda: vce_total_pq(3, 5)),
+    ("_4q_split", 44, GraphFamily.LINE_OF_GAMMA, lambda: vce_line_4q(11)),
+    ("_4q_split", 44, GraphFamily.TOTAL_OF_GAMMA, lambda: vce_total_4q(11)),
 ])
 def test_failing_split_never_leaves_unverified(monkeypatch, split, n, family, public):
     """A construction whose split is wrong must raise, from dispatch and

@@ -1,3 +1,6 @@
+import math
+from time import perf_counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,3 +177,61 @@ def test_modulus_shape_raises_below_two_on_every_call(n):
             modulus_shape(n)
     info = modulus_shape.cache_info()
     assert (info.currsize, info.hits, info.misses) == (0, 0, 3)
+
+
+def _within_a_second(call):
+    t0 = perf_counter()
+    out = call()
+    assert perf_counter() - t0 < 1.0
+    return out
+
+
+def test_a_large_prime_is_factorized_in_bounded_time():
+    # trial division alone would run to 10^9 here
+    p = 10**18 + 3
+    assert _within_a_second(lambda: factorize(p)).factors == ((p, 1),)
+    assert _within_a_second(lambda: is_prime(p))
+    assert _within_a_second(lambda: nilpotents(p)).size == 0
+
+
+def test_rho_splits_a_product_of_two_large_primes():
+    p, q = 10**9 + 7, 10**9 + 9
+    assert _within_a_second(lambda: factorize(p * q)).factors == ((p, 1), (q, 1))
+    # prime powers and repeated cofactors past the trial bound
+    assert factorize(1031**3 * 1033).factors == ((1031, 3), (1033, 1))
+    assert factorize(2**10 * (2**31 - 1) ** 2).factors == ((2, 10), (2**31 - 1, 2))
+    assert factorize(2**64 + 1).factors == ((274177, 1), (67280421310721, 1))
+
+
+def test_rho_gives_up_on_two_30_digit_primes():
+    # the first primes after 10^29 and 3 * 10^29: rho's step budget runs out
+    # long before it could meet either factor
+    p, q = 10**29 + 319, 3 * 10**29 + 7
+    with pytest.raises(DomainError, match="rho steps"):
+        _within_a_second(lambda: factorize(p * q))
+    # Miller-Rabin shows the product composite without splitting it, but
+    # past 3.3 * 10^24 its fixed bases do not prove a prime prime
+    assert not is_prime(p * q)
+    with pytest.raises(DomainError, match="prime"):
+        is_prime(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=10**18))
+def test_factorize_reconstructs_large_n(n):
+    f = factorize(n)
+    assert math.prod(p**e for p, e in f.factors) == n
+    assert list(f.primes) == sorted(set(f.primes))
+    assert all(is_prime(p) for p in f.primes)
+
+
+def test_is_prime_agrees_with_a_sieve_below_two_million():
+    # past the trial bound's square, 2^20, Miller-Rabin decides
+    n = 2_000_000
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(n**0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    for k in range(2**20 - 5000, n, 7):
+        assert is_prime(k) == sieve[k], k

@@ -21,12 +21,14 @@ from znvce import (
     is_prime,
     nilradical_graph,
     total_graph,
+    vce_line_4q,
     vce_line_pq,
     vce_nilradical,
     vce_omega_squarefree,
     vce_p2q,
     vce_p2q2,
     vce_squarefree,
+    vce_total_4q,
     vce_total_pq,
 )
 from znvce import constructions
@@ -45,8 +47,13 @@ def _by_pair(builder):
     return lambda n: builder(*_prime_pair(n)) if _prime_pair(n) else None
 
 
+def _by_quarter(builder):
+    # n = 4q builds from q, which the builder checks; any other n has no call
+    return lambda n: builder(n // 4) if n % 4 == 0 else None
+
+
 # each public builder: the family it builds, the ids it covers, and a call by n
-# (None when the builder takes a prime pair and n is not one)
+# (None when the builder takes a prime pair or a quarter of n and n gives none)
 BUILDERS = {
     "vce_squarefree": (GraphFamily.GAMMA, {C.THM2_1_SQUAREFREE, C.COR2_2_PQ},
                        vce_squarefree),
@@ -59,6 +66,8 @@ BUILDERS = {
     "vce_omega_squarefree": (GraphFamily.OMEGA, {C.THM3_5_OMEGA_SQUAREFREE},
                              vce_omega_squarefree),
     "vce_total_pq": (GraphFamily.TOTAL_OF_GAMMA, {C.THM4_2_TOTAL_PQ}, _by_pair(vce_total_pq)),
+    "vce_line_4q": (GraphFamily.LINE_OF_GAMMA, {C.LINE_4Q}, _by_quarter(vce_line_4q)),
+    "vce_total_4q": (GraphFamily.TOTAL_OF_GAMMA, {C.TOTAL_4Q}, _by_quarter(vce_total_4q)),
 }
 
 
@@ -75,7 +84,9 @@ def test_one_row_per_construction_and_every_row_has_a_builder():
 def test_builder_succeeds_exactly_where_dispatch_constructs(name):
     """For n = 2..400: the builder returns a partition exactly when the table
     routes the (n, family) graph to an id the builder covers; there
-    `dispatch` returns an Exists with that id and the same partition."""
+    `dispatch` returns an Exists with that id and the same partition. The
+    builders ignore the vertex cap, so `dispatch` is held to a zero cap,
+    past which every row of the table applies."""
     family, cover, build = BUILDERS[name]
     built = 0
     for n in range(2, 401):
@@ -89,7 +100,7 @@ def test_builder_succeeds_exactly_where_dispatch_constructs(name):
             assert part is None, (name, n, routed)
             continue
         assert part is not None, (name, n, routed)
-        cert = dispatch(n, family)
+        cert = dispatch(n, family, vertex_cap=0)
         assert isinstance(cert, Exists) and cert.source is routed, (name, n)
         assert cert.partition == part, (name, n)
         built += 1
@@ -166,3 +177,17 @@ def test_gamma_p2q2_refusal_is_no_nonexistence_claim():
     assert "not covered" in str(exc.value) and "never" not in str(exc.value)
     cert = dispatch(100, GraphFamily.GAMMA)
     assert isinstance(cert, Exists) and cert.source is None
+
+
+def test_past_cap_rows_wait_for_the_cap_and_p2_only_rows_cover_p_2_alone():
+    past_cap = [row for row in constructions._TABLE if row.past_cap_only]
+    assert {row.cid for row in past_cap} == {C.LINE_4Q, C.TOTAL_4Q}
+    for n in range(2, 401):
+        shape = classify(factorize(n))
+        for row in past_cap:
+            route = constructions._route(shape, row.family, past_cap=False)
+            assert route is None or route[1] is not row.cid, (n, row.cid)
+        for row in constructions._TABLE:
+            if row.p2_only and row.kind is shape.kind:
+                covered = constructions._route(shape, row.family) == (row.split, row.cid)
+                assert covered == (shape.p == 2), (n, row.cid)
